@@ -15,6 +15,7 @@
 #include "bench/synthetic_networks.h"
 #include "core/exact_enumerator.h"
 #include "core/sampler.h"
+#include "core/walk_scratch.h"
 #include "sim/metrics.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -52,6 +53,8 @@ int Run() {
   const size_t samples = 512;
   TablePrinter table({"Variant", "KLratio (%)", "Coverage (%)",
                       "MeanSampleSize"});
+  // One walk scratch for every timed chain.
+  WalkScratch scratch;
   for (const Variant& variant : variants) {
     Stopwatch watch;
     double ratio_sum = 0.0;
@@ -72,7 +75,9 @@ int Run() {
                       variant.options);
       Rng rng(seed * 101);
       std::vector<DynamicBitset> out;
-      if (!sampler.SampleChain(feedback, samples, &rng, &out).ok()) continue;
+      if (!sampler.SampleChain(feedback, samples, &rng, &out, &scratch).ok()) {
+        continue;
+      }
 
       std::vector<double> counts(candidates, 0.0);
       std::unordered_set<DynamicBitset, DynamicBitsetHash> visited;

@@ -12,6 +12,7 @@
 #include "core/feedback.h"
 #include "core/parallel_sampler.h"
 #include "core/sampler.h"
+#include "core/walk_scratch.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -32,6 +33,8 @@ int Run() {
   TablePrinter table({"#Correspondences", "Time/sample (ms)", "Total (ms)",
                       "Par time/sample (ms)", "Par speedup",
                       "MeanInstanceSize"});
+  // One walk scratch for every timed chain, re-sized on demand.
+  WalkScratch scratch;
   for (size_t target : {128u, 256u, 512u, 1024u, 2048u, 4096u}) {
     // Average over a few random-graph settings, as the paper does.
     double total_ms = 0.0;
@@ -46,7 +49,9 @@ int Run() {
       Rng rng(seed * 7919);
       std::vector<DynamicBitset> out;
       Stopwatch watch;
-      if (!sampler.SampleChain(feedback, samples, &rng, &out).ok()) return 1;
+      if (!sampler.SampleChain(feedback, samples, &rng, &out, &scratch).ok()) {
+        return 1;
+      }
       total_ms += watch.ElapsedMillis();
       double setting_size = 0.0;
       for (const DynamicBitset& sample : out) {

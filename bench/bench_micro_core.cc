@@ -64,12 +64,12 @@ void BM_RepairSingleAddition(benchmark::State& state) {
   Sampler sampler(synthetic.network, synthetic.constraints);
   Rng rng(7);
   // Start from a representative mid-walk state.
-  std::vector<DynamicBitset> seed_samples;
-  sampler.SampleChain(feedback, 1, &rng, &seed_samples).ok();
-  const DynamicBitset base = seed_samples.front();
-
   const size_t n = synthetic.network.correspondence_count();
   WalkScratch scratch(n);
+  std::vector<DynamicBitset> seed_samples;
+  sampler.SampleChain(feedback, 1, &rng, &seed_samples, &scratch).ok();
+  const DynamicBitset base = seed_samples.front();
+
   DynamicBitset instance = base;  // Equal-size buffer: assignment reuses it.
   for (auto _ : state) {
     instance = base;
@@ -117,9 +117,11 @@ void BM_SampleChain(benchmark::State& state) {
   Sampler sampler(synthetic.network, synthetic.constraints);
   Rng rng(13);
   constexpr size_t kSamplesPerDraw = 10;
+  // One scratch held across the timed draws and the allocation probe.
+  WalkScratch scratch(synthetic.network.correspondence_count());
   for (auto _ : state) {
     std::vector<DynamicBitset> out;
-    sampler.SampleChain(feedback, kSamplesPerDraw, &rng, &out).ok();
+    sampler.SampleChain(feedback, kSamplesPerDraw, &rng, &out, &scratch).ok();
     benchmark::DoNotOptimize(out);
   }
   // Per-sample allocations for a warm chain draw (emitted sample copies and
@@ -129,7 +131,8 @@ void BM_SampleChain(benchmark::State& state) {
   probe_out.reserve(kProbeDraws * kSamplesPerDraw);
   const uint64_t before = AllocationCount();
   for (size_t i = 0; i < kProbeDraws; ++i) {
-    sampler.SampleChain(feedback, kSamplesPerDraw, &rng, &probe_out).ok();
+    sampler.SampleChain(feedback, kSamplesPerDraw, &rng, &probe_out, &scratch)
+        .ok();
   }
   state.counters["allocs_per_sample"] =
       static_cast<double>(AllocationCount() - before) /

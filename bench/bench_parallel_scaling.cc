@@ -13,6 +13,7 @@
 #include "core/feedback.h"
 #include "core/parallel_sampler.h"
 #include "core/sampler.h"
+#include "core/walk_scratch.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -55,8 +56,11 @@ int Run() {
     Sampler serial(synthetic.network, synthetic.constraints);
     Rng rng(1234);
     std::vector<DynamicBitset> out;
+    WalkScratch scratch;
     Stopwatch watch;
-    if (!serial.SampleChain(feedback, samples, &rng, &out).ok()) return 1;
+    if (!serial.SampleChain(feedback, samples, &rng, &out, &scratch).ok()) {
+      return 1;
+    }
     const double ms = watch.ElapsedMillis();
     reporter.AddEntry("serial_single_chain", ms,
                       {{"samples_per_sec", 1000.0 * samples / ms}});

@@ -7,6 +7,7 @@
 
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "datasets/standard.h"
@@ -56,7 +57,9 @@ int Run() {
       DynamicBitset all(setup->network.correspondence_count());
       for (CorrespondenceId c = 0; c < all.size(); ++c) all.Set(c);
       row.candidates[column] = setup->network.correspondence_count();
-      row.violations[column] = setup->constraints.FindViolations(all).size();
+      std::vector<KernelViolation> violations;
+      setup->constraints.AppendConflicts(all, &violations);
+      row.violations[column] = violations.size();
       row.precision[column] = ScoreCandidates(*setup).precision;
       ++column;
     }

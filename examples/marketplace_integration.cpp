@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/instantiation.h"
 #include "core/reconciler.h"
@@ -39,12 +40,14 @@ int main(int argc, char** argv) {
   const size_t total = setup->network.correspondence_count();
   DynamicBitset all(total);
   for (CorrespondenceId c = 0; c < total; ++c) all.Set(c);
+  std::vector<KernelViolation> violations;
+  setup->constraints.AppendConflicts(all, &violations);
 
   std::cout << "Schemas: " << setup->network.schema_count()
             << ", attributes: " << setup->network.attribute_count()
             << ", candidate correspondences: " << total << "\n";
   std::cout << "Constraint violations in the raw matcher output: "
-            << setup->constraints.FindViolations(all).size() << "\n";
+            << violations.size() << "\n";
   const PrecisionRecall raw = ScoreCandidates(*setup);
   std::cout << "Raw candidate quality: precision "
             << FormatDouble(raw.precision, 3) << ", recall "

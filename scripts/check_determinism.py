@@ -19,10 +19,10 @@ Rules:
                    — clocks may feed timing telemetry, never sampler input.
   pointer-key      std::map / std::set keyed by a pointer type: ordered by
                    address, i.e. by ASLR. Key by a stable id instead.
-  thread-local     thread_local state outside the documented scratch
-                   fallback (src/core/walk_scratch.h) and the lock-debug
-                   held-lock stack (src/util/lock_rank.cc), which is
-                   diagnostic-only and compiled out of release builds.
+  thread-local     thread_local state anywhere but the lock-debug held-lock
+                   stack (src/util/lock_rank.cc), which is diagnostic-only
+                   and compiled out of release builds. Walk working memory
+                   is a caller-owned WalkScratch, never per-thread state.
   raw-write        fwrite / write(2) / pwrite(v) / writev / fputs / fputc
                    outside src/util/record_codec.cc — all durable bytes must
                    flow through the CRC-framed RecordWriter so torn-write
@@ -58,7 +58,7 @@ RULES = {
     "raw-random": "raw randomness outside util/rng",
     "wall-clock": "clock read outside util/stopwatch and bench timing",
     "pointer-key": "ordered container keyed by pointer (address order)",
-    "thread-local": "thread_local state outside the scratch fallback",
+    "thread-local": "thread_local state outside the lock-debug stack",
     "raw-write": "raw byte write outside util/record_codec (RecordWriter)",
 }
 
@@ -67,7 +67,7 @@ RULES = {
 ALLOWED_PATHS = {
     "raw-random": ("src/util/rng.h", "src/util/rng.cc"),
     "wall-clock": ("src/util/stopwatch.h",),
-    "thread-local": ("src/core/walk_scratch.h", "src/util/lock_rank.cc"),
+    "thread-local": ("src/util/lock_rank.cc",),
     "raw-write": ("src/util/record_codec.cc",),
 }
 
@@ -153,8 +153,9 @@ def scan_file(path: str, rel: str) -> list[Finding]:
 
     for match in THREAD_LOCAL_RE.finditer(text):
         report(match.start(), "thread-local",
-               "thread_local state outside the documented scratch fallback "
-               "(src/core/walk_scratch.h)")
+               "thread_local state; pass working memory explicitly (a "
+               "caller-owned WalkScratch) — only the lock-debug stack "
+               "(src/util/lock_rank.cc) may be per-thread")
 
     for match in RAW_WRITE_RE.finditer(text):
         report(match.start(), "raw-write",

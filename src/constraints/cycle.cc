@@ -75,35 +75,6 @@ bool CycleConstraint::IsSatisfied(const DynamicBitset& selection) const {
   return true;
 }
 
-void CycleConstraint::FindViolations(const DynamicBitset& selection,
-                                     std::vector<Violation>* out) const {
-  for (const Chain& chain : chains_) {
-    if (ChainViolated(chain, selection)) out->push_back(MakeViolation(chain));
-  }
-}
-
-void CycleConstraint::FindViolationsInvolving(const DynamicBitset& selection,
-                                              CorrespondenceId c,
-                                              std::vector<Violation>* out) const {
-  for (uint32_t i = member_offsets_[c]; i < member_offsets_[c + 1]; ++i) {
-    const Chain& chain = chains_[member_chains_[i]];
-    if (ChainViolated(chain, selection)) out->push_back(MakeViolation(chain));
-  }
-}
-
-void CycleConstraint::FindViolationsCreatedByRemoval(
-    const DynamicBitset& selection, CorrespondenceId removed,
-    std::vector<Violation>* out) const {
-  // Removing a closing correspondence re-opens every triangle it closed.
-  for (uint32_t i = closing_offsets_[removed]; i < closing_offsets_[removed + 1];
-       ++i) {
-    const Chain& chain = chains_[closing_chains_[i]];
-    if (selection.Test(chain.first) && selection.Test(chain.second)) {
-      out->push_back(MakeViolation(chain));
-    }
-  }
-}
-
 void CycleConstraint::AppendConflicts(const DynamicBitset& selection,
                                       std::vector<KernelViolation>* out) const {
   for (const Chain& chain : chains_) {

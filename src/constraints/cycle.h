@@ -43,17 +43,6 @@ class CycleConstraint final : public Constraint {
 
   bool IsSatisfied(const DynamicBitset& selection) const override;
 
-  void FindViolations(const DynamicBitset& selection,
-                      std::vector<Violation>* out) const override;
-
-  void FindViolationsInvolving(const DynamicBitset& selection,
-                               CorrespondenceId c,
-                               std::vector<Violation>* out) const override;
-
-  void FindViolationsCreatedByRemoval(const DynamicBitset& selection,
-                                      CorrespondenceId removed,
-                                      std::vector<Violation>* out) const override;
-
   bool AdditionViolates(const DynamicBitset& selection,
                         CorrespondenceId candidate) const override {
     for (uint32_t i = member_offsets_[candidate];
@@ -104,12 +93,10 @@ class CycleConstraint final : public Constraint {
   size_t CountViolationsInvolving(const DynamicBitset& selection,
                                   CorrespondenceId c) const override;
 
-  /// Cycle supports the addition-tracking counters: hard-conflict chains
-  /// block monotonically (released only by removals), closable open chains
-  /// block reversibly (selecting the closing correspondence releases them).
-  bool SupportsAdditionTracking() const override { return true; }
-
-  /// One flat pass over the compiled chains (see the implementation note).
+  /// One flat pass over the compiled chains (see the implementation note):
+  /// hard-conflict chains block monotonically (released only by removals),
+  /// closable open chains block reversibly (selecting the closing
+  /// correspondence releases them).
   void SeedAdditionBlockCounts(const DynamicBitset& selection,
                                uint32_t* monotone_blocks,
                                uint32_t* reversible_blocks) const override;
@@ -144,10 +131,6 @@ class CycleConstraint final : public Constraint {
     return selection.Test(chain.first) && selection.Test(chain.second) &&
            (chain.closing == kInvalidCorrespondence ||
             !selection.Test(chain.closing));
-  }
-
-  Violation MakeViolation(const Chain& chain) const {
-    return Violation{name(), {chain.first, chain.second}, chain.closing};
   }
 
   KernelViolation MakeKernelViolation(const Chain& chain) const {

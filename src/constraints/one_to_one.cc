@@ -113,29 +113,6 @@ bool OneToOneConstraint::IsSatisfied(const DynamicBitset& selection) const {
   return ok;
 }
 
-void OneToOneConstraint::FindViolations(const DynamicBitset& selection,
-                                        std::vector<Violation>* out) const {
-  selection.ForEachSetBit([&](size_t c) {
-    ForEachConflictOf(static_cast<CorrespondenceId>(c), [&](CorrespondenceId other) {
-      if (other > c && selection.Test(other)) {  // Report each pair once.
-        out->push_back(
-            Violation{name(), {static_cast<CorrespondenceId>(c), other},
-                      kInvalidCorrespondence});
-      }
-    });
-  });
-}
-
-void OneToOneConstraint::FindViolationsInvolving(const DynamicBitset& selection,
-                                                 CorrespondenceId c,
-                                                 std::vector<Violation>* out) const {
-  ForEachConflictOf(c, [&](CorrespondenceId other) {
-    if (selection.Test(other)) {
-      out->push_back(Violation{name(), {c, other}, kInvalidCorrespondence});
-    }
-  });
-}
-
 void OneToOneConstraint::AppendConflicts(const DynamicBitset& selection,
                                          std::vector<KernelViolation>* out) const {
   selection.ForEachSetBit([&](size_t c) {

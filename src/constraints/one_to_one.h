@@ -46,13 +46,6 @@ class OneToOneConstraint final : public Constraint {
 
   bool IsSatisfied(const DynamicBitset& selection) const override;
 
-  void FindViolations(const DynamicBitset& selection,
-                      std::vector<Violation>* out) const override;
-
-  void FindViolationsInvolving(const DynamicBitset& selection,
-                               CorrespondenceId c,
-                               std::vector<Violation>* out) const override;
-
   bool AdditionViolates(const DynamicBitset& selection,
                         CorrespondenceId candidate) const override {
     if (dense_compiled_) {
@@ -105,12 +98,9 @@ class OneToOneConstraint final : public Constraint {
   size_t CountViolationsInvolving(const DynamicBitset& selection,
                                   CorrespondenceId c) const override;
 
-  /// One-to-one supports the addition-tracking counters: all its blocks are
-  /// monotone (only a removal ever releases a conflict with a selected
-  /// correspondence).
-  bool SupportsAdditionTracking() const override { return true; }
-
-  /// Bumps monotone_blocks over the selected conflict rows.
+  /// Bumps monotone_blocks over the selected conflict rows: all one-to-one
+  /// blocks are monotone (only a removal ever releases a conflict with a
+  /// selected correspondence).
   void SeedAdditionBlockCounts(const DynamicBitset& selection,
                                uint32_t* monotone_blocks,
                                uint32_t* reversible_blocks) const override;

@@ -42,11 +42,9 @@ struct AdditionDeltaOp {
 };
 
 /// Concrete-type tag of a compiled constraint. The walk kernel's inner loop
-/// uses it to dispatch the hot violation queries with static_cast direct
-/// calls to the (final) built-in constraint classes instead of virtual
-/// dispatch; kGeneric constraints take the virtual path.
+/// switches on it to call the hot violation queries on the (final) built-in
+/// constraint classes directly instead of through the vtable.
 enum class ConstraintKind : uint8_t {
-  kGeneric,   ///< Unknown concrete type; virtual dispatch only.
   kOneToOne,  ///< OneToOneConstraint (final).
   kCycle,     ///< CycleConstraint (final).
 };
@@ -60,7 +58,7 @@ enum class ConstraintKind : uint8_t {
 /// studied in the paper: in a selection that currently satisfies the
 /// constraint, adding one correspondence can only introduce violations that
 /// involve the added correspondence, and removing one correspondence can only
-/// introduce violations reported by FindViolationsCreatedByRemoval. This is
+/// introduce violations reported by AppendConflictsCreatedByRemoval. This is
 /// what makes the maximality check of Definition 1 and the incremental repair
 /// of Algorithm 4 sound.
 ///
@@ -77,13 +75,12 @@ class Constraint {
   /// Virtual destructor: constraints are held via base-class pointers.
   virtual ~Constraint() = default;
 
-  /// Stable name used in violation reports ("one-to-one", "cycle").
+  /// Stable human-readable name ("one-to-one", "cycle").
   virtual std::string_view name() const = 0;
 
   /// Concrete-type tag for the kernel's devirtualized dispatch (see
-  /// ConstraintKind). Only the built-in final classes return a non-generic
-  /// kind; returning kGeneric is always safe.
-  virtual ConstraintKind kind() const { return ConstraintKind::kGeneric; }
+  /// ConstraintKind).
+  virtual ConstraintKind kind() const = 0;
 
   /// Builds internal tables for `network`. Must be called before any query.
   /// The network must outlive this constraint.
@@ -97,78 +94,36 @@ class Constraint {
   /// True when `selection` satisfies this constraint.
   virtual bool IsSatisfied(const DynamicBitset& selection) const = 0;
 
-  /// Appends all violations present in `selection` to `out`.
-  virtual void FindViolations(const DynamicBitset& selection,
-                              std::vector<Violation>* out) const = 0;
-
-  /// Appends the violations in `selection` that involve `c` (which must be
-  /// selected) to `out`.
-  virtual void FindViolationsInvolving(const DynamicBitset& selection,
-                                       CorrespondenceId c,
-                                       std::vector<Violation>* out) const = 0;
-
-  /// Appends violations that exist in `selection` only because `removed` was
-  /// just cleared from it. Anti-monotone constraints (one-to-one) never
-  /// produce any; the cycle constraint does when `removed` closed a triangle
-  /// whose two chain members are still selected.
-  virtual void FindViolationsCreatedByRemoval(
-      const DynamicBitset& selection, CorrespondenceId removed,
-      std::vector<Violation>* out) const {
-    (void)selection;
-    (void)removed;
-    (void)out;
-  }
-
   /// True when adding `candidate` (not currently selected) to a selection
   /// that satisfies this constraint would create at least one violation.
   virtual bool AdditionViolates(const DynamicBitset& selection,
                                 CorrespondenceId candidate) const = 0;
 
-  /// Kernel query: appends every violation in `selection` as a fixed-size
-  /// KernelViolation. The default adapts the Violation-based path (and
-  /// allocates); the built-in constraints override it with allocation-free
-  /// scans over their compiled adjacency tables. Used to seed RepairAll's
-  /// worklist and as the slow-path oracle in the kernel differential tests.
+  /// Appends every violation in `selection`, in a fixed per-constraint
+  /// order. Seeds RepairAll's worklist.
   virtual void AppendConflicts(const DynamicBitset& selection,
-                               std::vector<KernelViolation>* out) const {
-    std::vector<Violation> violations;
-    FindViolations(selection, &violations);
-    for (const Violation& v : violations) out->push_back(ToKernelViolation(v));
-  }
+                               std::vector<KernelViolation>* out) const = 0;
 
-  /// Kernel query: appends the violations in `selection` that involve the
-  /// selected correspondence `c`. The built-in overrides are O(degree) in
-  /// the compiled adjacency index — a word-parallel conflict-row
-  /// intersection for one-to-one, a CSR chain-row walk for the cycle
-  /// constraint — and never allocate once `out` has warmed-up capacity.
-  virtual void AppendConflictsInvolving(const DynamicBitset& selection,
-                                        CorrespondenceId c,
-                                        std::vector<KernelViolation>* out) const {
-    std::vector<Violation> violations;
-    FindViolationsInvolving(selection, c, &violations);
-    for (const Violation& v : violations) out->push_back(ToKernelViolation(v));
-  }
+  /// Appends the violations in `selection` that involve the selected
+  /// correspondence `c`. O(degree) in the compiled adjacency index — a
+  /// word-parallel conflict-row intersection for one-to-one, a CSR
+  /// chain-row walk for the cycle constraint — and never allocates once
+  /// `out` has warmed-up capacity.
+  virtual void AppendConflictsInvolving(
+      const DynamicBitset& selection, CorrespondenceId c,
+      std::vector<KernelViolation>* out) const = 0;
 
-  /// Kernel query: appends violations that exist in `selection` only because
-  /// `removed` was just cleared from it (see FindViolationsCreatedByRemoval).
-  /// The default adapter is allocation-free for constraints that keep the
-  /// base no-op FindViolationsCreatedByRemoval.
+  /// Appends violations that exist in `selection` only because `removed` was
+  /// just cleared from it. Anti-monotone constraints (one-to-one) never
+  /// produce any and keep this no-op; the cycle constraint does when
+  /// `removed` closed a triangle whose two chain members are still selected.
   virtual void AppendConflictsCreatedByRemoval(
       const DynamicBitset& selection, CorrespondenceId removed,
       std::vector<KernelViolation>* out) const {
-    std::vector<Violation> violations;
-    FindViolationsCreatedByRemoval(selection, removed, &violations);
-    for (const Violation& v : violations) out->push_back(ToKernelViolation(v));
+    (void)selection;
+    (void)removed;
+    (void)out;
   }
-
-  /// True when this constraint implements the incremental addition-block
-  /// counters below. The counters power Maximalize's fast path (and its
-  /// cross-sample incremental seeding): instead of probing AdditionViolates
-  /// for every candidate on every fixpoint pass, per-candidate block counts
-  /// are seeded once and maintained per selection change. Constraints
-  /// answering false force callers back to the generic per-candidate
-  /// probing loop.
-  virtual bool SupportsAdditionTracking() const { return false; }
 
   /// Seeds the addition-block counters for `selection` (an arbitrary subset
   /// of C): for every correspondence x, adds to `monotone_blocks[x]` the
@@ -180,14 +135,12 @@ class Constraint {
   /// correspondence may yet be selected). x is addable under this
   /// constraint exactly when both its counts are zero; the split lets
   /// grow-only fixpoints drop monotonically-blocked candidates for good.
-  /// Only called when SupportsAdditionTracking() is true.
+  /// The counters power Maximalize: instead of probing AdditionViolates for
+  /// every candidate on every fixpoint pass, they are seeded once and
+  /// maintained per selection change.
   virtual void SeedAdditionBlockCounts(const DynamicBitset& selection,
                                        uint32_t* monotone_blocks,
-                                       uint32_t* reversible_blocks) const {
-    (void)selection;
-    (void)monotone_blocks;
-    (void)reversible_blocks;
-  }
+                                       uint32_t* reversible_blocks) const = 0;
 
   /// Exports the compiled delta program for `changed`: the op sequence
   /// that, applied with sign +1 after setting `changed` in a selection (or
@@ -196,12 +149,9 @@ class Constraint {
   /// inconsistent, selections. ConstraintSet::Compile concatenates every
   /// constraint's ops per correspondence into one flat CSR table so the
   /// tracker's hot path applies them without virtual dispatch or pointer
-  /// chasing. Only called when SupportsAdditionTracking() is true.
-  virtual void AppendAdditionDeltaOps(CorrespondenceId changed,
-                                      std::vector<AdditionDeltaOp>* out) const {
-    (void)changed;
-    (void)out;
-  }
+  /// chasing.
+  virtual void AppendAdditionDeltaOps(
+      CorrespondenceId changed, std::vector<AdditionDeltaOp>* out) const = 0;
 
   /// Number of violations in `selection` that involve `c`.
   virtual size_t CountViolationsInvolving(const DynamicBitset& selection,

@@ -21,18 +21,16 @@ Status ConstraintSet::Compile(const Network& network) {
   // Compile the addition tracker's flat delta table (see
   // ApplyAdditionBlockDelta): one CSR row of merged per-constraint ops per
   // correspondence.
+  const size_t n = network.correspondence_count();
   delta_offsets_.clear();
   delta_ops_.clear();
-  if (SupportsAdditionTracking()) {
-    const size_t n = network.correspondence_count();
-    delta_offsets_.reserve(n + 1);
-    delta_offsets_.push_back(0);
-    for (CorrespondenceId c = 0; c < n; ++c) {
-      for (const auto& constraint : constraints_) {
-        constraint->AppendAdditionDeltaOps(c, &delta_ops_);
-      }
-      delta_offsets_.push_back(static_cast<uint32_t>(delta_ops_.size()));
+  delta_offsets_.reserve(n + 1);
+  delta_offsets_.push_back(0);
+  for (CorrespondenceId c = 0; c < n; ++c) {
+    for (const auto& constraint : constraints_) {
+      constraint->AppendAdditionDeltaOps(c, &delta_ops_);
     }
+    delta_offsets_.push_back(static_cast<uint32_t>(delta_ops_.size()));
   }
   return Status::OK();
 }
@@ -43,36 +41,6 @@ bool ConstraintSet::IsSatisfied(const DynamicBitset& selection) const {
     if (!c->IsSatisfied(selection)) return false;
   }
   return true;
-}
-
-std::vector<Violation> ConstraintSet::FindViolations(
-    const DynamicBitset& selection) const {
-  assert(compiled_);
-  std::vector<Violation> violations;
-  for (const auto& c : constraints_) {
-    c->FindViolations(selection, &violations);
-  }
-  return violations;
-}
-
-std::vector<Violation> ConstraintSet::FindViolationsInvolving(
-    const DynamicBitset& selection, CorrespondenceId c) const {
-  assert(compiled_);
-  std::vector<Violation> violations;
-  for (const auto& constraint : constraints_) {
-    constraint->FindViolationsInvolving(selection, c, &violations);
-  }
-  return violations;
-}
-
-std::vector<Violation> ConstraintSet::FindViolationsCreatedByRemoval(
-    const DynamicBitset& selection, CorrespondenceId removed) const {
-  assert(compiled_);
-  std::vector<Violation> violations;
-  for (const auto& constraint : constraints_) {
-    constraint->FindViolationsCreatedByRemoval(selection, removed, &violations);
-  }
-  return violations;
 }
 
 void ConstraintSet::AppendConflicts(const DynamicBitset& selection,
@@ -101,14 +69,6 @@ void ConstraintSet::AppendConflictsCreatedByRemoval(
   }
 }
 
-bool ConstraintSet::SupportsAdditionTracking() const {
-  assert(compiled_);
-  for (const auto& constraint : constraints_) {
-    if (!constraint->SupportsAdditionTracking()) return false;
-  }
-  return true;
-}
-
 void ConstraintSet::SeedAdditionBlockCounts(const DynamicBitset& selection,
                                             uint32_t* monotone_blocks,
                                             uint32_t* reversible_blocks) const {
@@ -118,7 +78,6 @@ void ConstraintSet::SeedAdditionBlockCounts(const DynamicBitset& selection,
                                         reversible_blocks);
   }
 }
-
 
 bool ConstraintSet::AdditionViolates(const DynamicBitset& selection,
                                      CorrespondenceId candidate) const {

@@ -37,27 +37,14 @@ class ConstraintSet {
   /// True when `selection` satisfies all constraints.
   bool IsSatisfied(const DynamicBitset& selection) const;
 
-  /// All violations across all constraints.
-  std::vector<Violation> FindViolations(const DynamicBitset& selection) const;
-
-  /// Violations in `selection` involving the selected correspondence `c`.
-  std::vector<Violation> FindViolationsInvolving(const DynamicBitset& selection,
-                                                 CorrespondenceId c) const;
-
-  /// Violations that exist only because `removed` was just cleared from
-  /// `selection` (e.g. re-opened triangles of the cycle constraint).
-  std::vector<Violation> FindViolationsCreatedByRemoval(
-      const DynamicBitset& selection, CorrespondenceId removed) const;
-
   /// True when adding `candidate` to a currently-consistent `selection`
   /// would violate some constraint.
   bool AdditionViolates(const DynamicBitset& selection,
                         CorrespondenceId candidate) const;
 
-  /// Kernel query: appends all violations across all constraints as
-  /// fixed-size records, in constraint Add order (the same order the
-  /// Violation-based queries report). Appends into a caller-owned buffer so
-  /// hot loops reuse capacity instead of allocating a fresh vector.
+  /// Kernel query: appends all violations across all constraints, in
+  /// constraint Add order. Appends into a caller-owned buffer so hot loops
+  /// reuse capacity instead of allocating a fresh vector.
   void AppendConflicts(const DynamicBitset& selection,
                        std::vector<KernelViolation>* out) const;
 
@@ -73,12 +60,6 @@ class ConstraintSet {
   void AppendConflictsCreatedByRemoval(const DynamicBitset& selection,
                                        CorrespondenceId removed,
                                        std::vector<KernelViolation>* out) const;
-
-  /// True when every member constraint implements the incremental
-  /// addition-block counters (see Constraint::SupportsAdditionTracking),
-  /// i.e. Maximalize may use the tracked fast path instead of per-candidate
-  /// AdditionViolates probing.
-  bool SupportsAdditionTracking() const;
 
   /// Process-unique id assigned by each Compile call. Walk scratches stamp
   /// their incremental tracker state with it, so a scratch reused against a
@@ -99,14 +80,13 @@ class ConstraintSet {
   /// flipping `*unblocked_any` when a reversible block is released by an
   /// addition. Inline and virtual-free: this runs once per committed
   /// Maximalize addition and once per walk-state diff bit, the two hottest
-  /// tracker paths. Requires SupportsAdditionTracking() (the table is built
-  /// by Compile exactly in that case).
+  /// tracker paths.
   void ApplyAdditionBlockDelta(const DynamicBitset& selection,
                                CorrespondenceId changed, bool added,
                                uint32_t* monotone_blocks,
                                uint32_t* reversible_blocks,
                                bool* unblocked_any) const {
-    assert(!delta_offsets_.empty() && "requires SupportsAdditionTracking()");
+    assert(compiled_);
     const int sign = added ? 1 : -1;
     const uint32_t begin = delta_offsets_[changed];
     const uint32_t end = delta_offsets_[changed + 1];
@@ -157,7 +137,7 @@ class ConstraintSet {
   std::vector<std::unique_ptr<Constraint>> constraints_;
   // Flat CSR delta table of the addition tracker: row c holds the
   // concatenated AppendAdditionDeltaOps of every constraint for c. Built by
-  // Compile when all constraints support tracking; empty otherwise.
+  // Compile.
   std::vector<uint32_t> delta_offsets_;
   std::vector<AdditionDeltaOp> delta_ops_;
   uint64_t compile_id_ = 0;

@@ -53,32 +53,15 @@ void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
   }
   rng->Shuffle(&candidates);
 
-  if (!constraints.SupportsAdditionTracking()) {
-    // Generic fixpoint: per-candidate AdditionViolates probes. Additions can
-    // unlock further additions (a new closing correspondence may make a
-    // chained pair addable), so iterate until a pass adds nothing.
-    bool added = true;
-    while (added) {
-      added = false;
-      for (CorrespondenceId c : candidates) {
-        if (selection->Test(c)) continue;
-        if (!constraints.AdditionViolates(*selection, c)) {
-          selection->Set(c);
-          added = true;
-        }
-      }
-    }
-    return;
-  }
-
-  // Tracked fast path. The scratch carries per-candidate block counters for
-  // `tracker_state`; syncing them to this call's input costs one
-  // ApplyAdditionBlockDelta per differing bit — consecutive emitted chain
-  // states differ by a handful of bits, so the per-sample full sweep over
-  // every compiled constraint element disappears. A candidate is addable
-  // exactly when both its counts are zero, so the greedy additions (and the
-  // rng draws) are identical to the generic fixpoint: the result is
-  // bit-identical.
+  // Greedy fixpoint over addition-block counters. The scratch carries
+  // per-candidate block counters for `tracker_state`; syncing them to this
+  // call's input costs one ApplyAdditionBlockDelta per differing bit —
+  // consecutive emitted chain states differ by a handful of bits, so the
+  // per-sample full sweep over every compiled constraint element
+  // disappears. A candidate is addable exactly when both its counts are
+  // zero, so the greedy additions (and the rng draws) are identical to a
+  // naive per-candidate AdditionViolates fixpoint in shuffled order: the
+  // result is bit-identical.
   uint32_t* walk_monotone = scratch->walk_monotone_blocks.data();
   uint32_t* walk_reversible = scratch->walk_reversible_blocks.data();
   DynamicBitset& tracked = scratch->tracker_state;
@@ -93,7 +76,7 @@ void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
   }
   if (!tracker_valid || diff_bits > n / 4) {
     // Fresh seed: foreign or far-away state — the scratch's counters
-    // describe a different compiled set (thread-local scratch reused across
+    // describe a different compiled set (one scratch reused across
     // networks), or an unrelated caller such as the instantiation search
     // jumped between selections.
     std::fill(scratch->walk_monotone_blocks.begin(),
@@ -155,11 +138,6 @@ void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
     // remaining candidate is still blocked and the extra pass is a no-op.
     rescan = added && unblocked;
   }
-}
-
-void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
-                Rng* rng, DynamicBitset* selection) {
-  Maximalize(constraints, feedback, rng, selection, &ThreadLocalWalkScratch());
 }
 
 size_t RepairDistance(const DynamicBitset& instance, size_t candidate_count) {

@@ -39,10 +39,6 @@ bool IsMatchingInstance(const ConstraintSet& constraints,
 void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
                 Rng* rng, DynamicBitset* selection, WalkScratch* scratch);
 
-/// Convenience overload backed by a per-thread scratch; identical results.
-void Maximalize(const ConstraintSet& constraints, const Feedback& feedback,
-                Rng* rng, DynamicBitset* selection);
-
 /// The repair distance Δ(I, C) of the paper: |I \ C| + |C \ I|. Since
 /// instances are subsets of C this equals |C| - |I|.
 size_t RepairDistance(const DynamicBitset& instance, size_t candidate_count);

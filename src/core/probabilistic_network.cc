@@ -175,13 +175,12 @@ ProbabilisticNetwork::BuildCache(
     // boundary included), so disable it and sample.
     SampleStoreOptions store_options = options_.store;
     store_options.exact_threshold = 0;
-    cache->store = std::make_unique<SampleStore>(
-        *sub.network, *sub.constraints, store_options);
+    SampleStore store(*sub.network, *sub.constraints, store_options);
     Rng stream = base_.Fork(StreamId(component.anchor, built_at));
-    SMN_RETURN_IF_ERROR(cache->store->Initialize(sub.feedback, &stream));
-    cache->samples = cache->store->samples();
-    cache->exhausted = cache->store->exhausted();
-    cache->diagnostics = cache->store->chain_diagnostics();
+    SMN_RETURN_IF_ERROR(store.Initialize(sub.feedback, &stream));
+    cache->samples = store.TakeSamples();
+    cache->exhausted = store.exhausted();
+    cache->diagnostics = store.chain_diagnostics();
   }
 
   // Member marginals and the component's entropy contribution.

@@ -284,8 +284,6 @@ class ProbabilisticNetwork {
   /// is what makes incremental reuse and full recomputation bit-identical.
   struct ComponentCache {
     ComponentSubproblem subproblem;
-    /// Sampling engine; null when the member-exact path enumerated Ω_K.
-    std::unique_ptr<SampleStore> store;
     /// Ω*_K in *subproblem-local* coordinates (width = subproblem candidate
     /// count, not the global network width — O(component), which is what
     /// keeps million-candidate sessions resident). Consumers index members

@@ -15,8 +15,7 @@ namespace {
 // built-in (final) constraint classes the kind() tag lets us call them
 // directly instead of through the vtable — the one deliberate
 // core→constraints dependency of the engine, confined to this kernel (see
-// ARCHITECTURE.md "hot path & scratch ownership"). Generic constraints take
-// the virtual path unchanged.
+// ARCHITECTURE.md "hot path & scratch ownership").
 
 void AppendConflictsInvolvingFast(const ConstraintSet& constraints,
                                   const DynamicBitset& selection,
@@ -32,9 +31,6 @@ void AppendConflictsInvolvingFast(const ConstraintSet& constraints,
       case ConstraintKind::kCycle:
         static_cast<const CycleConstraint&>(constraint)
             .AppendConflictsInvolving(selection, c, out);
-        break;
-      default:
-        constraint.AppendConflictsInvolving(selection, c, out);
         break;
     }
   }
@@ -58,9 +54,6 @@ bool AdditionViolatesFast(const ConstraintSet& constraints,
           return true;
         }
         break;
-      default:
-        if (constraint.AdditionViolates(selection, candidate)) return true;
-        break;
     }
   }
   return false;
@@ -78,9 +71,6 @@ void AppendConflictsCreatedByRemovalFast(const ConstraintSet& constraints,
       case ConstraintKind::kCycle:
         static_cast<const CycleConstraint&>(constraint)
             .AppendConflictsCreatedByRemoval(selection, removed, out);
-        break;
-      default:
-        constraint.AppendConflictsCreatedByRemoval(selection, removed, out);
         break;
     }
   }
@@ -284,17 +274,10 @@ Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
   return Status::OK();
 }
 
-Status RepairInstance(const ConstraintSet& constraints, const Feedback& feedback,
-                      CorrespondenceId added, DynamicBitset* instance,
-                      const RepairOptions& options) {
-  return RepairInstance(constraints, feedback, added, instance,
-                        &ThreadLocalWalkScratch(), options);
-}
-
 Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
                  DynamicBitset* instance, const RepairOptions& options) {
-  return RepairAll(constraints, feedback, instance, &ThreadLocalWalkScratch(),
-                   options);
+  WalkScratch scratch;
+  return RepairAll(constraints, feedback, instance, &scratch, options);
 }
 
 }  // namespace smn

@@ -55,6 +55,13 @@ Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
                  DynamicBitset* instance, WalkScratch* scratch,
                  const RepairOptions& options = {});
 
+/// One-shot RepairAll that allocates its working memory for this call only
+/// (setup paths such as turning raw matcher output into a consistent
+/// matching). Identical results to the scratch-threaded entry point; loops
+/// must thread their own scratch.
+Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
+                 DynamicBitset* instance, const RepairOptions& options = {});
+
 /// The walk kernel's proposal repair: RepairInstance specialized for the
 /// sampler's inner step. Preconditions the step already guarantees: `added`
 /// is a valid, currently-unselected correspondence and `*scratch` is
@@ -65,17 +72,6 @@ Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
 bool RepairProposal(const ConstraintSet& constraints, const Feedback& feedback,
                     CorrespondenceId added, DynamicBitset* instance,
                     WalkScratch* scratch, const RepairOptions& options = {});
-
-/// Convenience overload backed by a per-thread scratch. Identical results to
-/// the kernel entry point; thread the scratch explicitly in hot loops.
-Status RepairInstance(const ConstraintSet& constraints, const Feedback& feedback,
-                      CorrespondenceId added, DynamicBitset* instance,
-                      const RepairOptions& options = {});
-
-/// Convenience overload of the scratch-threaded RepairAll (per-thread
-/// scratch).
-Status RepairAll(const ConstraintSet& constraints, const Feedback& feedback,
-                 DynamicBitset* instance, const RepairOptions& options = {});
 
 }  // namespace smn
 

@@ -1,6 +1,7 @@
 #ifndef SMN_CORE_SAMPLE_STORE_H_
 #define SMN_CORE_SAMPLE_STORE_H_
 
+#include <utility>
 #include <vector>
 
 #include "core/chain_diagnostics.h"
@@ -76,6 +77,10 @@ class SampleStore {
 
   /// Current sample multiset Ω*.
   const std::vector<DynamicBitset>& samples() const { return samples_; }
+
+  /// Moves Ω* out, leaving the store empty: for owners that keep only the
+  /// samples and drop the store, so Ω* is never held twice.
+  std::vector<DynamicBitset> TakeSamples() { return std::move(samples_); }
 
   /// Per-correspondence probabilities p_c = |{I ∈ Ω* | c ∈ I}| / |Ω*|
   /// (Equation 2). Returns an all-zero vector when the store is empty.

@@ -92,7 +92,8 @@ StatusOr<DynamicBitset> Sampler::NextInstance(const DynamicBitset& current,
                                               const Feedback& feedback,
                                               Rng* rng) const {
   DynamicBitset state = current;
-  SMN_RETURN_IF_ERROR(Step(feedback, rng, &state, &ThreadLocalWalkScratch()));
+  WalkScratch scratch;
+  SMN_RETURN_IF_ERROR(Step(feedback, rng, &state, &scratch));
   return state;
 }
 
@@ -120,19 +121,13 @@ StatusOr<DynamicBitset> Sampler::ChainStart(const Feedback& feedback,
   return state;
 }
 
-StatusOr<DynamicBitset> Sampler::ChainStart(const Feedback& feedback,
-                                            bool overdisperse,
-                                            Rng* rng) const {
-  return ChainStart(feedback, overdisperse, rng, &ThreadLocalWalkScratch());
-}
-
 Status Sampler::SampleChain(const Feedback& feedback, size_t count, Rng* rng,
-                            std::vector<DynamicBitset>* out) const {
-  WalkScratch& scratch = ThreadLocalWalkScratch();
+                            std::vector<DynamicBitset>* out,
+                            WalkScratch* scratch) const {
   SMN_ASSIGN_OR_RETURN(
       DynamicBitset state,
-      ChainStart(feedback, /*overdisperse=*/false, rng, &scratch));
-  return ContinueChain(feedback, count, rng, &state, out, &scratch);
+      ChainStart(feedback, /*overdisperse=*/false, rng, scratch));
+  return ContinueChain(feedback, count, rng, &state, out, scratch);
 }
 
 Status Sampler::ContinueChain(const Feedback& feedback, size_t count, Rng* rng,
@@ -154,13 +149,6 @@ Status Sampler::ContinueChain(const Feedback& feedback, size_t count, Rng* rng,
     }
   }
   return Status::OK();
-}
-
-Status Sampler::ContinueChain(const Feedback& feedback, size_t count, Rng* rng,
-                              DynamicBitset* state_ptr,
-                              std::vector<DynamicBitset>* out) const {
-  return ContinueChain(feedback, count, rng, state_ptr, out,
-                       &ThreadLocalWalkScratch());
 }
 
 }  // namespace smn

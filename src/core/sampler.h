@@ -55,15 +55,16 @@ class Sampler {
 
   /// Runs one random-walk transition from `current` (which must be
   /// consistent) and returns the next chain state. Convenience wrapper over
-  /// Step backed by a per-thread scratch; use Step in hot loops.
+  /// Step that allocates a scratch per call; use Step in hot loops.
   StatusOr<DynamicBitset> NextInstance(const DynamicBitset& current,
                                        const Feedback& feedback, Rng* rng) const;
 
   /// Draws `count` samples along one chain seeded at F+ and appends them to
-  /// `*out` (Algorithm 3). Fails when F+ itself violates the constraints.
-  /// Equivalent to ChainStart + ContinueChain.
+  /// `*out` (Algorithm 3), working in `*scratch`. Fails when F+ itself
+  /// violates the constraints. Equivalent to ChainStart + ContinueChain.
   Status SampleChain(const Feedback& feedback, size_t count, Rng* rng,
-                     std::vector<DynamicBitset>* out) const;
+                     std::vector<DynamicBitset>* out,
+                     WalkScratch* scratch) const;
 
   /// Computes the state a fresh chain starts from: the approved set F+,
   /// closure-repaired to consistency. With `overdisperse` set, the start is
@@ -75,10 +76,6 @@ class Sampler {
                                      bool overdisperse, Rng* rng,
                                      WalkScratch* scratch) const;
 
-  /// ChainStart backed by a per-thread scratch; identical results.
-  StatusOr<DynamicBitset> ChainStart(const Feedback& feedback,
-                                     bool overdisperse, Rng* rng) const;
-
   /// Advances the walk from `*state`, appending `count` emitted samples to
   /// `*out` and leaving `*state` at the final chain position. `*state` must
   /// be consistent (normally a ChainStart result). All per-step working
@@ -87,11 +84,6 @@ class Sampler {
   Status ContinueChain(const Feedback& feedback, size_t count, Rng* rng,
                        DynamicBitset* state, std::vector<DynamicBitset>* out,
                        WalkScratch* scratch) const;
-
-  /// ContinueChain backed by a per-thread scratch; identical results.
-  Status ContinueChain(const Feedback& feedback, size_t count, Rng* rng,
-                       DynamicBitset* state,
-                       std::vector<DynamicBitset>* out) const;
 
   /// The active configuration.
   const SamplerOptions& options() const { return options_; }

@@ -1,67 +1,31 @@
 #ifndef SMN_CORE_VIOLATION_H_
 #define SMN_CORE_VIOLATION_H_
 
-#include <string_view>
-#include <vector>
-
 #include "core/types.h"
 
 namespace smn {
 
-/// One concrete constraint violation found in a correspondence selection.
-/// `participants` are the selected correspondences that jointly violate the
-/// constraint; removing any participant resolves this particular violation.
-/// For the cycle constraint, `missing` names the absent closing
-/// correspondence that would also resolve the violation (or
-/// kInvalidCorrespondence when no such candidate exists in C).
-struct Violation {
-  /// Name of the violated constraint ("one-to-one", "cycle").
-  std::string_view constraint_name;
-  /// Selected correspondences that jointly violate the constraint.
-  std::vector<CorrespondenceId> participants;
-  /// Absent closing correspondence that would also resolve the violation,
-  /// or kInvalidCorrespondence when none exists in C.
-  CorrespondenceId missing = kInvalidCorrespondence;
-
-  /// True when `c` participates in this violation.
-  bool Involves(CorrespondenceId c) const {
-    for (CorrespondenceId p : participants) {
-      if (p == c) return true;
-    }
-    return false;
-  }
-};
-
-/// Fixed-size violation record used by the compiled walk kernel. Unlike
-/// Violation it owns no heap storage, so worklists of KernelViolation can be
-/// reused across repair calls without allocating. The constraints of the
-/// paper are pairwise (one-to-one conflicts, cycle chains): every violation
-/// has at most two selected participants plus an optional absent closing
-/// correspondence. Constraints whose violations need more participants must
-/// stay on the Violation-based slow path.
+/// One concrete constraint violation found in a correspondence selection,
+/// as the compiled walk kernel reports it. The record owns no heap storage,
+/// so worklists of KernelViolation can be reused across repair calls without
+/// allocating. The constraints of the paper are pairwise (one-to-one
+/// conflicts, cycle chains): every violation has at most two selected
+/// participants — removing either resolves it — plus an optional absent
+/// closing correspondence whose addition would also resolve it.
 struct KernelViolation {
   /// First selected participant.
   CorrespondenceId a = kInvalidCorrespondence;
   /// Second selected participant, or kInvalidCorrespondence for violations
   /// with a single participant.
   CorrespondenceId b = kInvalidCorrespondence;
-  /// Absent closing correspondence that would also resolve the violation,
-  /// or kInvalidCorrespondence when none exists in C.
+  /// Absent closing correspondence that would also resolve the violation
+  /// (an open chain of the cycle constraint), or kInvalidCorrespondence when
+  /// none exists in C.
   CorrespondenceId missing = kInvalidCorrespondence;
 
   /// True when `c` participates in this violation.
   bool Involves(CorrespondenceId c) const { return a == c || b == c; }
 };
-
-/// Converts a Violation into the kernel record, keeping the first two
-/// participants (the constraints shipped with the engine never emit more).
-inline KernelViolation ToKernelViolation(const Violation& v) {
-  KernelViolation kernel;
-  if (!v.participants.empty()) kernel.a = v.participants[0];
-  if (v.participants.size() > 1) kernel.b = v.participants[1];
-  kernel.missing = v.missing;
-  return kernel;
-}
 
 }  // namespace smn
 

@@ -105,8 +105,7 @@ class WalkScratch {
   DynamicBitset tracker_state;
   /// ConstraintSet::compile_id() the tracker was seeded against, or 0 when
   /// unseeded (fresh scratch, resize, or reuse against a different compiled
-  /// set — the same scratch may serve several networks over its lifetime,
-  /// e.g. through the thread-local convenience path).
+  /// set — the same scratch may serve several networks over its lifetime).
   uint64_t tracker_compile_id = 0;
 
  private:
@@ -116,23 +115,6 @@ class WalkScratch {
 
   size_t prepared_size_ = static_cast<size_t>(-1);
 };
-
-/// Shared per-thread fallback scratch backing the convenience
-/// (scratch-less) API overloads of repair, maximalization, and the sampler:
-/// they stay allocation-free at steady state without making any engine
-/// object stateful or thread-unsafe. The scratch persists for the thread's
-/// lifetime, sized for the largest candidate set it has served; hot loops
-/// should thread an explicitly owned scratch instead.
-///
-/// This is the repository's one sanctioned use of thread_local state: the
-/// determinism linter (scripts/check_determinism.py, rule `thread-local`)
-/// allowlists exactly this header and flags any other occurrence — scratch
-/// memory is reusable precisely because its contents never influence which
-/// samples the walk emits.
-inline WalkScratch& ThreadLocalWalkScratch() {
-  thread_local WalkScratch scratch;
-  return scratch;
-}
 
 }  // namespace smn
 

@@ -1,8 +1,12 @@
 #include "constraints/cycle.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/testing/test_networks.h"
+#include "tests/testing/violation_oracle.h"
 
 namespace smn {
 namespace {
@@ -45,11 +49,10 @@ TEST_F(CycleTest, ChainFreeSelectionsSatisfy) {
   EXPECT_TRUE(constraint_.IsSatisfied(Selection({fig1_.c3, fig1_.c4})));
 }
 
-TEST_F(CycleTest, FindViolationsNamesTheMissingClosing) {
-  std::vector<Violation> violations;
-  constraint_.FindViolations(Selection({fig1_.c1, fig1_.c2}), &violations);
+TEST_F(CycleTest, AppendConflictsNamesTheMissingClosing) {
+  std::vector<KernelViolation> violations;
+  constraint_.AppendConflicts(Selection({fig1_.c1, fig1_.c2}), &violations);
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].constraint_name, "cycle");
   EXPECT_TRUE(violations[0].Involves(fig1_.c1));
   EXPECT_TRUE(violations[0].Involves(fig1_.c2));
   EXPECT_EQ(violations[0].missing, fig1_.c3);
@@ -67,8 +70,9 @@ TEST_F(CycleTest, AdditionViolatesForOpenChains) {
 
 TEST_F(CycleTest, RemovalOfClosingReopensTriangle) {
   auto selection = Selection({fig1_.c1, fig1_.c2});  // c3 just removed.
-  std::vector<Violation> violations;
-  constraint_.FindViolationsCreatedByRemoval(selection, fig1_.c3, &violations);
+  std::vector<KernelViolation> violations;
+  constraint_.AppendConflictsCreatedByRemoval(selection, fig1_.c3,
+                                              &violations);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_TRUE(violations[0].Involves(fig1_.c1));
   EXPECT_TRUE(violations[0].Involves(fig1_.c2));
@@ -79,6 +83,47 @@ TEST_F(CycleTest, CountViolationsInvolving) {
   // c1 chains with c2 (missing c3) and with c4 (missing c5).
   EXPECT_EQ(constraint_.CountViolationsInvolving(selection, fig1_.c1), 2u);
   EXPECT_EQ(constraint_.CountViolationsInvolving(selection, fig1_.c2), 1u);
+}
+
+TEST(CycleOracleTest, EveryFig1SelectionMatchesOracle) {
+  // Exhaustive over the 2^5 selections of Fig. 1: every kernel query of a
+  // cycle-only set against the naive oracle, in report order.
+  const testing::Fig1Network fig1 = testing::MakeFig1Network();
+  ConstraintSet constraints;
+  constraints.Add(std::make_unique<CycleConstraint>());
+  ASSERT_TRUE(constraints.Compile(fig1.network).ok());
+  const testing::ViolationOracle oracle(fig1.network, constraints);
+  const size_t n = fig1.network.correspondence_count();
+  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+    DynamicBitset selection(n);
+    for (size_t c = 0; c < n; ++c) {
+      if ((mask >> c) & 1ULL) selection.Set(c);
+    }
+    std::vector<KernelViolation> kernel;
+    constraints.AppendConflicts(selection, &kernel);
+    EXPECT_EQ(testing::Triples(kernel),
+              testing::Triples(oracle.FindViolations(selection)))
+        << "mask " << mask;
+    for (CorrespondenceId c = 0; c < n; ++c) {
+      kernel.clear();
+      if (selection.Test(c)) {
+        constraints.AppendConflictsInvolving(selection, c, &kernel);
+        EXPECT_EQ(
+            testing::Triples(kernel),
+            testing::Triples(oracle.FindViolationsInvolving(selection, c)))
+            << "mask " << mask << " involving c=" << c;
+      } else {
+        constraints.AppendConflictsCreatedByRemoval(selection, c, &kernel);
+        EXPECT_EQ(testing::Triples(kernel),
+                  testing::Triples(
+                      oracle.FindViolationsCreatedByRemoval(selection, c)))
+            << "mask " << mask << " removal of c=" << c;
+        EXPECT_EQ(constraints.AdditionViolates(selection, c),
+                  oracle.AdditionViolates(selection, c))
+            << "mask " << mask << " addition of c=" << c;
+      }
+    }
+  }
 }
 
 TEST(CycleStandaloneTest, NoTrianglesNoChains) {
@@ -125,8 +170,8 @@ TEST(CycleStandaloneTest, MissingClosingCandidateIsHardConflict) {
   both.Set(ab);
   both.Set(bc);
   EXPECT_FALSE(constraint.IsSatisfied(both));
-  std::vector<Violation> violations;
-  constraint.FindViolations(both, &violations);
+  std::vector<KernelViolation> violations;
+  constraint.AppendConflicts(both, &violations);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].missing, kInvalidCorrespondence);
 }

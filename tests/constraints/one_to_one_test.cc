@@ -1,8 +1,13 @@
 #include "constraints/one_to_one.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/testing/test_networks.h"
+#include "tests/testing/violation_oracle.h"
+#include "util/rng.h"
 
 namespace smn {
 namespace {
@@ -43,21 +48,20 @@ TEST_F(OneToOneTest, DifferentTargetSchemasDoNotConflict) {
   EXPECT_TRUE(constraint_.IsSatisfied(Selection({fig1_.c1, fig1_.c3})));
 }
 
-TEST_F(OneToOneTest, FindViolationsReportsEachPairOnce) {
-  std::vector<Violation> violations;
-  constraint_.FindViolations(Selection({fig1_.c3, fig1_.c5, fig1_.c1}),
-                             &violations);
+TEST_F(OneToOneTest, AppendConflictsReportsEachPairOnce) {
+  std::vector<KernelViolation> violations;
+  constraint_.AppendConflicts(Selection({fig1_.c3, fig1_.c5, fig1_.c1}),
+                              &violations);
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].constraint_name, "one-to-one");
-  EXPECT_EQ(violations[0].participants.size(), 2u);
   EXPECT_TRUE(violations[0].Involves(fig1_.c3));
   EXPECT_TRUE(violations[0].Involves(fig1_.c5));
+  EXPECT_EQ(violations[0].missing, kInvalidCorrespondence);
 }
 
-TEST_F(OneToOneTest, FindViolationsInvolvingListsNeighbors) {
-  std::vector<Violation> violations;
+TEST_F(OneToOneTest, AppendConflictsInvolvingListsNeighbors) {
+  std::vector<KernelViolation> violations;
   const auto selection = Selection({fig1_.c2, fig1_.c4, fig1_.c5});
-  constraint_.FindViolationsInvolving(selection, fig1_.c4, &violations);
+  constraint_.AppendConflictsInvolving(selection, fig1_.c4, &violations);
   // c4 conflicts with c2 (SB.date mapped to two SC attributes). c5 shares
   // SC.screenDate with c4 but maps it into a *different* schema (SA), which
   // is cycle-constraint territory, not a one-to-one conflict.
@@ -84,9 +88,9 @@ TEST_F(OneToOneTest, CountViolationsInvolving) {
 }
 
 TEST_F(OneToOneTest, RemovalNeverCreatesViolations) {
-  std::vector<Violation> violations;
+  std::vector<KernelViolation> violations;
   auto selection = Selection({fig1_.c1, fig1_.c2});
-  constraint_.FindViolationsCreatedByRemoval(selection, fig1_.c3, &violations);
+  constraint_.AppendConflictsCreatedByRemoval(selection, fig1_.c3, &violations);
   EXPECT_TRUE(violations.empty());
 }
 
@@ -113,6 +117,85 @@ TEST(OneToOneStandaloneTest, ConflictAcrossBothEndpoints) {
   selection.Set(ax);
   selection.Set(bx);
   EXPECT_FALSE(constraint.IsSatisfied(selection));
+}
+
+/// Checks every kernel query of a one-to-one-only set against the naive
+/// oracle on `selection`, in report order.
+void ExpectKernelMatchesOracle(const Network& network,
+                               const ConstraintSet& constraints,
+                               const DynamicBitset& selection) {
+  const testing::ViolationOracle oracle(network, constraints);
+  std::vector<KernelViolation> kernel;
+  constraints.AppendConflicts(selection, &kernel);
+  EXPECT_EQ(testing::Triples(kernel),
+            testing::Triples(oracle.FindViolations(selection)));
+  EXPECT_EQ(constraints.IsSatisfied(selection), oracle.IsSatisfied(selection));
+  for (CorrespondenceId c = 0; c < selection.size(); ++c) {
+    if (selection.Test(c)) {
+      kernel.clear();
+      constraints.AppendConflictsInvolving(selection, c, &kernel);
+      EXPECT_EQ(testing::Triples(kernel),
+                testing::Triples(oracle.FindViolationsInvolving(selection, c)))
+          << "involving c=" << c;
+      EXPECT_EQ(constraints.CountViolationsInvolving(selection, c),
+                kernel.size());
+    } else {
+      EXPECT_EQ(constraints.AdditionViolates(selection, c),
+                oracle.AdditionViolates(selection, c))
+          << "addition of c=" << c;
+    }
+  }
+}
+
+ConstraintSet OneToOneOnly(const Network& network, size_t dense_row_limit) {
+  ConstraintSet constraints;
+  constraints.Add(std::make_unique<OneToOneConstraint>(dense_row_limit));
+  EXPECT_TRUE(constraints.Compile(network).ok());
+  return constraints;
+}
+
+TEST(OneToOneOracleTest, EveryFig1SelectionMatchesOracle) {
+  const testing::Fig1Network fig1 = testing::MakeFig1Network();
+  const ConstraintSet dense =
+      OneToOneOnly(fig1.network, OneToOneConstraint::kDefaultDenseRowLimit);
+  const ConstraintSet csr = OneToOneOnly(fig1.network, 0);
+  const size_t n = fig1.network.correspondence_count();
+  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+    DynamicBitset selection(n);
+    for (size_t c = 0; c < n; ++c) {
+      if ((mask >> c) & 1ULL) selection.Set(c);
+    }
+    ExpectKernelMatchesOracle(fig1.network, dense, selection);
+    ExpectKernelMatchesOracle(fig1.network, csr, selection);
+  }
+}
+
+TEST(OneToOneOracleTest, DenseAndCsrFormsMatchOracle) {
+  // The dense word-matrix and the CSR-only compilation answer the same
+  // queries from different tables; both must report what the oracle
+  // derives from the network, in the same order.
+  for (uint64_t seed : {4u, 44u}) {
+    const testing::RandomNetwork random =
+        testing::MakeRandomNetwork({4, 4, 0.5, seed});
+    const size_t n = random.network.correspondence_count();
+    if (n == 0) continue;
+    const ConstraintSet dense = OneToOneOnly(
+        random.network, OneToOneConstraint::kDefaultDenseRowLimit);
+    const ConstraintSet csr = OneToOneOnly(random.network, 0);
+    ASSERT_TRUE(static_cast<const OneToOneConstraint&>(dense.constraint(0))
+                    .dense_compiled());
+    ASSERT_FALSE(static_cast<const OneToOneConstraint&>(csr.constraint(0))
+                     .dense_compiled());
+    Rng rng(seed);
+    for (int trial = 0; trial < 20; ++trial) {
+      DynamicBitset selection(n);
+      for (size_t c = 0; c < n; ++c) {
+        if (rng.Bernoulli(0.4)) selection.Set(c);
+      }
+      ExpectKernelMatchesOracle(random.network, dense, selection);
+      ExpectKernelMatchesOracle(random.network, csr, selection);
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ class MatchingInstanceTest : public ::testing::Test {
 
   testing::Fig1Network fig1_;
   Feedback feedback_;
+  WalkScratch scratch_;
 };
 
 TEST_F(MatchingInstanceTest, PaperInstancesAreMatchingInstances) {
@@ -66,7 +67,7 @@ TEST_F(MatchingInstanceTest, MaximalizeReachesAMaximalInstance) {
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
     DynamicBitset selection(fig1_.network.correspondence_count());
-    Maximalize(fig1_.constraints, feedback_, &rng, &selection);
+    Maximalize(fig1_.constraints, feedback_, &rng, &selection, &scratch_);
     EXPECT_TRUE(IsMatchingInstance(fig1_.constraints, feedback_, selection))
         << selection.ToString();
   }
@@ -81,7 +82,7 @@ TEST_F(MatchingInstanceTest, SingletonC1IsMaximal) {
   Rng rng(4);
   DynamicBitset selection = Selection({fig1_.c1});
   EXPECT_TRUE(IsMatchingInstance(fig1_.constraints, feedback_, selection));
-  Maximalize(fig1_.constraints, feedback_, &rng, &selection);
+  Maximalize(fig1_.constraints, feedback_, &rng, &selection, &scratch_);
   EXPECT_EQ(selection.Count(), 1u);  // Nothing single-addable.
 }
 
@@ -90,7 +91,7 @@ TEST_F(MatchingInstanceTest, MaximalizeExtendsFromC2) {
   // the five instances).
   Rng rng(4);
   DynamicBitset selection = Selection({fig1_.c2});
-  Maximalize(fig1_.constraints, feedback_, &rng, &selection);
+  Maximalize(fig1_.constraints, feedback_, &rng, &selection, &scratch_);
   EXPECT_TRUE(IsMatchingInstance(fig1_.constraints, feedback_, selection));
   EXPECT_EQ(selection, Selection({fig1_.c2, fig1_.c5}));
 }
@@ -100,7 +101,7 @@ TEST_F(MatchingInstanceTest, MaximalizeRespectsDisapprovals) {
   feedback_.Disapprove(fig1_.c4);
   Rng rng(5);
   DynamicBitset selection(fig1_.network.correspondence_count());
-  Maximalize(fig1_.constraints, feedback_, &rng, &selection);
+  Maximalize(fig1_.constraints, feedback_, &rng, &selection, &scratch_);
   EXPECT_FALSE(selection.Test(fig1_.c2));
   EXPECT_FALSE(selection.Test(fig1_.c4));
   EXPECT_TRUE(IsMatchingInstance(fig1_.constraints, feedback_, selection));

@@ -22,14 +22,16 @@ class RepairTest : public ::testing::Test {
 
   testing::Fig1Network fig1_;
   Feedback feedback_;
+  WalkScratch scratch_;
 };
 
 TEST_F(RepairTest, NoViolationsIsNoOp) {
   auto instance = Selection({fig1_.c1, fig1_.c2});
   // Adding c3 closes the chain: nothing to repair.
   auto closed = Selection({fig1_.c2, fig1_.c3});
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &closed).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &closed,
+                             &scratch_)
+                  .ok());
   EXPECT_EQ(closed, Selection({fig1_.c1, fig1_.c2, fig1_.c3}));
 }
 
@@ -37,8 +39,9 @@ TEST_F(RepairTest, ResolvesOneToOneConflict) {
   auto instance = Selection({fig1_.c3});
   // Adding c5 conflicts with c3 (both map productionDate into SC); the
   // repair must remove one of them and protect the newly added c5.
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c5, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c5, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_TRUE(instance.Test(fig1_.c5));
   EXPECT_FALSE(instance.Test(fig1_.c3));
   EXPECT_TRUE(fig1_.constraints.IsSatisfied(instance));
@@ -48,8 +51,9 @@ TEST_F(RepairTest, ResolvesCycleViolation) {
   auto instance = Selection({fig1_.c1});
   // c2 chains with c1 and the closing c3 is absent: repair removes c1 (the
   // only removable participant since c2 is protected).
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c2, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c2, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_TRUE(instance.Test(fig1_.c2));
   EXPECT_TRUE(fig1_.constraints.IsSatisfied(instance));
 }
@@ -59,8 +63,9 @@ TEST_F(RepairTest, CascadingRemovalStaysConsistent) {
   // (one-to-one) and chains with c1 (missing c5). Whatever the greedy order,
   // the result must satisfy all constraints and keep c4.
   auto instance = Selection({fig1_.c1, fig1_.c2, fig1_.c3});
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c4, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c4, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_TRUE(instance.Test(fig1_.c4));
   EXPECT_TRUE(fig1_.constraints.IsSatisfied(instance));
 }
@@ -70,8 +75,9 @@ TEST_F(RepairTest, ApprovedCorrespondencesAreProtected) {
   auto instance = Selection({fig1_.c3});
   // c5 conflicts with the approved c3; the repair cannot remove c3, so it
   // must drop the added c5 itself.
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c5, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c5, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_TRUE(instance.Test(fig1_.c3));
   EXPECT_FALSE(instance.Test(fig1_.c5));
   EXPECT_TRUE(fig1_.constraints.IsSatisfied(instance));
@@ -79,14 +85,16 @@ TEST_F(RepairTest, ApprovedCorrespondencesAreProtected) {
 
 TEST_F(RepairTest, AddingPresentCorrespondenceIsNoOp) {
   auto instance = Selection({fig1_.c1, fig1_.c2, fig1_.c3});
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_EQ(instance, Selection({fig1_.c1, fig1_.c2, fig1_.c3}));
 }
 
 TEST_F(RepairTest, OutOfRangeRejected) {
   auto instance = Selection({});
-  EXPECT_EQ(RepairInstance(fig1_.constraints, feedback_, 99, &instance).code(),
+  EXPECT_EQ(RepairInstance(fig1_.constraints, feedback_, 99, &instance,
+                     &scratch_).code(),
             StatusCode::kOutOfRange);
 }
 
@@ -112,8 +120,9 @@ TEST_F(RepairTest, GreedyPrefersHighestViolationCount) {
   // removing one resolves its cycle violation and the shared one-to-one,
   // leaving one more removal.
   auto instance = Selection({fig1_.c2, fig1_.c4});
-  ASSERT_TRUE(
-      RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &instance).ok());
+  ASSERT_TRUE(RepairInstance(fig1_.constraints, feedback_, fig1_.c1, &instance,
+                             &scratch_)
+                  .ok());
   EXPECT_TRUE(instance.Test(fig1_.c1));
   EXPECT_TRUE(fig1_.constraints.IsSatisfied(instance));
 }

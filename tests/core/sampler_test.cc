@@ -19,13 +19,15 @@ class SamplerTest : public ::testing::Test {
 
   testing::Fig1Network fig1_;
   Feedback feedback_;
+  WalkScratch scratch_;
 };
 
 TEST_F(SamplerTest, SamplesAreMatchingInstances) {
   Sampler sampler(fig1_.network, fig1_.constraints);
   Rng rng(1);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 200, &rng, &samples).ok());
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 200, &rng, &samples, &scratch_).ok());
   ASSERT_EQ(samples.size(), 200u);
   for (const DynamicBitset& sample : samples) {
     EXPECT_TRUE(IsMatchingInstance(fig1_.constraints, feedback_, sample))
@@ -37,7 +39,8 @@ TEST_F(SamplerTest, VisitsTheMainInstancesOfFig1) {
   Sampler sampler(fig1_.network, fig1_.constraints);
   Rng rng(2);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 400, &rng, &samples).ok());
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 400, &rng, &samples, &scratch_).ok());
   std::unordered_set<DynamicBitset, DynamicBitsetHash> distinct(samples.begin(),
                                                                 samples.end());
   // Fig. 1 has five matching instances. The add-and-repair walk must visit
@@ -62,7 +65,8 @@ TEST_F(SamplerTest, RespectsApprovals) {
   Sampler sampler(fig1_.network, fig1_.constraints);
   Rng rng(3);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 100, &rng, &samples).ok());
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 100, &rng, &samples, &scratch_).ok());
   for (const DynamicBitset& sample : samples) {
     EXPECT_TRUE(sample.Test(fig1_.c2));
   }
@@ -73,7 +77,8 @@ TEST_F(SamplerTest, RespectsDisapprovals) {
   Sampler sampler(fig1_.network, fig1_.constraints);
   Rng rng(4);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 100, &rng, &samples).ok());
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 100, &rng, &samples, &scratch_).ok());
   for (const DynamicBitset& sample : samples) {
     EXPECT_FALSE(sample.Test(fig1_.c1));
   }
@@ -85,7 +90,8 @@ TEST_F(SamplerTest, InconsistentApprovalsRejected) {
   Sampler sampler(fig1_.network, fig1_.constraints);
   Rng rng(5);
   std::vector<DynamicBitset> samples;
-  EXPECT_EQ(sampler.SampleChain(feedback_, 10, &rng, &samples).code(),
+  EXPECT_EQ(
+      sampler.SampleChain(feedback_, 10, &rng, &samples, &scratch_).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -95,7 +101,8 @@ TEST_F(SamplerTest, NonMaximalizedSamplesAreStillConsistent) {
   Sampler sampler(fig1_.network, fig1_.constraints, options);
   Rng rng(6);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 100, &rng, &samples).ok());
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 100, &rng, &samples, &scratch_).ok());
   for (const DynamicBitset& sample : samples) {
     EXPECT_TRUE(fig1_.constraints.IsSatisfied(sample));
     EXPECT_TRUE(feedback_.IsRespectedBy(sample));
@@ -130,7 +137,9 @@ TEST(SamplerPropertyTest, SampledInstancesMatchExactEnumerationSupport) {
     Sampler sampler(random.network, random.constraints);
     Rng rng(seed);
     std::vector<DynamicBitset> samples;
-    ASSERT_TRUE(sampler.SampleChain(feedback, 150, &rng, &samples).ok());
+    WalkScratch scratch;
+    ASSERT_TRUE(
+        sampler.SampleChain(feedback, 150, &rng, &samples, &scratch).ok());
     for (const DynamicBitset& sample : samples) {
       EXPECT_TRUE(support.count(sample) > 0) << sample.ToString();
     }

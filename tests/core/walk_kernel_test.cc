@@ -1,10 +1,10 @@
 // Differential tests of the compiled walk-kernel violation queries
-// (AppendConflicts / AppendConflictsInvolving / AppendConflictsCreatedByRemoval
-// and CountViolationsInvolving) against the naive FindViolations oracle, on
-// seeded random networks under one-to-one-only, cycle-only, and mixed
-// constraint sets. Selections are arbitrary random subsets — the queries must
-// agree even on wildly inconsistent states, which is exactly what the repair
-// worklist feeds them.
+// (AppendConflicts / AppendConflictsInvolving / AppendConflictsCreatedByRemoval,
+// CountViolationsInvolving and AdditionViolates) against the naive
+// testing::ViolationOracle, on seeded random networks under one-to-one-only,
+// cycle-only, and mixed constraint sets. Selections are arbitrary random
+// subsets — the queries must agree even on wildly inconsistent states, which
+// is exactly what the repair worklist feeds them.
 
 #include <algorithm>
 #include <memory>
@@ -17,10 +17,18 @@
 #include "constraints/one_to_one.h"
 #include "core/constraint_set.h"
 #include "tests/testing/test_networks.h"
+#include "tests/testing/violation_oracle.h"
 #include "util/rng.h"
 
 namespace smn {
 namespace {
+
+using testing::Violation;
+
+// Report order matters as much as content: the repair loop's closure choice
+// follows worklist order, so the full-scan, involving and removal queries
+// are compared element by element (testing::Triples); the multiset forms
+// below cross-check them against filtered and differenced full scans.
 
 /// Order-free normal form of a violation: (low participant, high participant,
 /// missing). Sorting a vector of these compares multisets.
@@ -102,6 +110,7 @@ TEST_P(WalkKernelDifferentialTest, KernelQueriesMatchNaiveOracle) {
     const size_t n = network.correspondence_count();
     if (n == 0) continue;
     const ConstraintSet constraints = MakeConstraints(network, GetParam());
+    const testing::ViolationOracle oracle(network, constraints);
 
     Rng rng(seed * 7919 + 1);
     for (double density : {0.2, 0.5, 0.8}) {
@@ -109,29 +118,31 @@ TEST_P(WalkKernelDifferentialTest, KernelQueriesMatchNaiveOracle) {
         const DynamicBitset selection = RandomSelection(n, density, &rng);
 
         // Full-scan query.
-        std::vector<Violation> oracle_all;
-        for (size_t i = 0; i < constraints.size(); ++i) {
-          constraints.constraint(i).FindViolations(selection, &oracle_all);
-        }
+        const std::vector<Violation> oracle_all =
+            oracle.FindViolations(selection);
         std::vector<KernelViolation> kernel_all;
         constraints.AppendConflicts(selection, &kernel_all);
-        EXPECT_EQ(NormalizeAll(kernel_all), NormalizeAll(oracle_all))
+        EXPECT_EQ(testing::Triples(kernel_all), testing::Triples(oracle_all))
             << "full scan, density " << density;
 
-        // Involving-c query, for every selected correspondence: the oracle
-        // is the full naive scan filtered to the violations touching c.
+        // Involving-c query, for every selected correspondence: checked
+        // against the oracle's own involving query and against the full
+        // naive scan filtered to the violations touching c.
         selection.ForEachSetBit([&](size_t c_index) {
           const CorrespondenceId c = static_cast<CorrespondenceId>(c_index);
-          std::vector<Violation> oracle_involving;
+          std::vector<Violation> filtered;
           for (const Violation& v : oracle_all) {
-            if (v.Involves(c)) oracle_involving.push_back(v);
+            if (v.Involves(c)) filtered.push_back(v);
           }
           std::vector<KernelViolation> kernel_involving;
           constraints.AppendConflictsInvolving(selection, c,
                                                &kernel_involving);
-          EXPECT_EQ(NormalizeAll(kernel_involving),
-                    NormalizeAll(oracle_involving))
+          EXPECT_EQ(NormalizeAll(kernel_involving), NormalizeAll(filtered))
               << "involving c=" << c << ", density " << density;
+          EXPECT_EQ(
+              testing::Triples(kernel_involving),
+              testing::Triples(oracle.FindViolationsInvolving(selection, c)))
+              << "oracle involving c=" << c;
           EXPECT_EQ(constraints.CountViolationsInvolving(selection, c),
                     kernel_involving.size())
               << "count involving c=" << c;
@@ -144,19 +155,27 @@ TEST_P(WalkKernelDifferentialTest, KernelQueriesMatchNaiveOracle) {
           const CorrespondenceId c = static_cast<CorrespondenceId>(c_index);
           DynamicBitset after = selection;
           after.Reset(c);
-          std::vector<Violation> oracle_after;
-          for (size_t i = 0; i < constraints.size(); ++i) {
-            constraints.constraint(i).FindViolations(after, &oracle_after);
-          }
           const std::vector<NormalViolation> oracle_created =
-              MultisetDifference(NormalizeAll(oracle_after),
+              MultisetDifference(NormalizeAll(oracle.FindViolations(after)),
                                  NormalizeAll(oracle_all));
           std::vector<KernelViolation> kernel_created;
           constraints.AppendConflictsCreatedByRemoval(after, c,
                                                       &kernel_created);
           EXPECT_EQ(NormalizeAll(kernel_created), oracle_created)
               << "removal of c=" << c << ", density " << density;
+          EXPECT_EQ(testing::Triples(kernel_created),
+                    testing::Triples(
+                        oracle.FindViolationsCreatedByRemoval(after, c)))
+              << "oracle removal of c=" << c;
         });
+
+        // Addition probe, for every unselected correspondence.
+        for (CorrespondenceId c = 0; c < n; ++c) {
+          if (selection.Test(c)) continue;
+          EXPECT_EQ(constraints.AdditionViolates(selection, c),
+                    oracle.AdditionViolates(selection, c))
+              << "addition of c=" << c << ", density " << density;
+        }
       }
     }
   }
@@ -180,7 +199,7 @@ TEST_P(WalkKernelDifferentialTest, AdditionBlockCountersStayExactUnderDeltas) {
   // The addition-tracker counters: a fresh SeedAdditionBlockCounts of any
   // selection must agree with counters maintained incrementally through the
   // compiled delta table across a random flip walk — and "both counters
-  // zero" must coincide with the AdditionViolates oracle for unselected
+  // zero" must coincide with the oracle's AdditionViolates for unselected
   // candidates at every point.
   for (uint64_t seed : {7u, 70u}) {
     const testing::RandomNetwork random = testing::MakeRandomNetwork(
@@ -190,7 +209,7 @@ TEST_P(WalkKernelDifferentialTest, AdditionBlockCountersStayExactUnderDeltas) {
     const size_t n = network.correspondence_count();
     if (n == 0) continue;
     const ConstraintSet constraints = MakeConstraints(network, GetParam());
-    if (!constraints.SupportsAdditionTracking()) continue;
+    const testing::ViolationOracle oracle(network, constraints);
 
     Rng rng(seed + 5);
     DynamicBitset selection = RandomSelection(n, 0.4, &rng);
@@ -207,7 +226,7 @@ TEST_P(WalkKernelDifferentialTest, AdditionBlockCountersStayExactUnderDeltas) {
       for (CorrespondenceId c = 0; c < n; ++c) {
         if (selection.Test(c)) continue;
         EXPECT_EQ(monotone[c] == 0 && reversible[c] == 0,
-                  !constraints.AdditionViolates(selection, c))
+                  !oracle.AdditionViolates(selection, c))
             << "candidate " << c << " at flip " << flip;
       }
       // Random flip, maintained through the delta table.
@@ -220,28 +239,6 @@ TEST_P(WalkKernelDifferentialTest, AdditionBlockCountersStayExactUnderDeltas) {
                                           monotone.data(), reversible.data(),
                                           &unblocked);
     }
-  }
-}
-
-TEST(WalkKernelAdapterTest, DefaultAdapterMatchesKernelOverrides) {
-  // The base-class default adapters (Violation-based) and the allocation-free
-  // overrides must describe the same violations; this pins the adapter path
-  // that third-party constraints without kernel overrides ride on.
-  const testing::RandomNetwork random =
-      testing::MakeRandomNetwork({3, 3, 0.5, 5});
-  const size_t n = random.network.correspondence_count();
-  CycleConstraint cycle;
-  ASSERT_TRUE(cycle.Compile(random.network).ok());
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const DynamicBitset selection = RandomSelection(n, 0.5, &rng);
-    std::vector<KernelViolation> kernel;
-    cycle.AppendConflicts(selection, &kernel);
-    std::vector<Violation> naive;
-    cycle.FindViolations(selection, &naive);
-    std::vector<KernelViolation> adapted;
-    for (const Violation& v : naive) adapted.push_back(ToKernelViolation(v));
-    EXPECT_EQ(NormalizeAll(kernel), NormalizeAll(adapted));
   }
 }
 

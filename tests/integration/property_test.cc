@@ -61,11 +61,13 @@ TEST_P(NetworkPropertyTest, RepairAlwaysRestoresConsistency) {
   const size_t n = random_.network.correspondence_count();
   if (n == 0) GTEST_SKIP();
   DynamicBitset instance(n);
+  WalkScratch scratch(n);
   for (int step = 0; step < 60; ++step) {
     const CorrespondenceId c = static_cast<CorrespondenceId>(rng.Index(n));
     if (instance.Test(c)) continue;
-    ASSERT_TRUE(
-        RepairInstance(random_.constraints, feedback_, c, &instance).ok());
+    ASSERT_TRUE(RepairInstance(random_.constraints, feedback_, c, &instance,
+                               &scratch)
+                    .ok());
     EXPECT_TRUE(random_.constraints.IsSatisfied(instance));
     EXPECT_TRUE(instance.Test(c)) << "added correspondence must survive";
   }
@@ -75,7 +77,9 @@ TEST_P(NetworkPropertyTest, SamplesAreAlwaysMatchingInstances) {
   Rng rng(GetParam().seed * 13 + 2);
   Sampler sampler(random_.network, random_.constraints);
   std::vector<DynamicBitset> samples;
-  ASSERT_TRUE(sampler.SampleChain(feedback_, 60, &rng, &samples).ok());
+  WalkScratch scratch;
+  ASSERT_TRUE(
+      sampler.SampleChain(feedback_, 60, &rng, &samples, &scratch).ok());
   for (const DynamicBitset& sample : samples) {
     EXPECT_TRUE(IsMatchingInstance(random_.constraints, feedback_, sample));
   }

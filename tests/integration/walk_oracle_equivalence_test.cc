@@ -1,7 +1,9 @@
 // Oracle-equivalence suite for the compiled walk kernel: a reference
 // implementation of the pre-kernel engine (the naive allocating repair loop
 // and NextInstance, preserved here verbatim) is run side by side with the
-// kernel engine on identical RNG streams. Every repaired instance, every
+// kernel engine on identical RNG streams. The reference answers every
+// violation query through testing::ViolationOracle, which shares none of
+// the compiled constraint tables the kernel reads. Every repaired instance, every
 // chain state, and every emitted sample must be bit-identical — the kernel
 // is a pure mechanical optimization, never a behavioral change. Together
 // with the parallel-scaling determinism digest this pins the determinism
@@ -18,13 +20,17 @@
 #include "core/repair.h"
 #include "core/sampler.h"
 #include "tests/testing/test_networks.h"
+#include "tests/testing/violation_oracle.h"
 
 namespace smn {
 namespace {
 
+using testing::Violation;
+using testing::ViolationOracle;
+
 /// The pre-kernel repair loop, kept bit-for-bit: per-call violation vectors,
 /// full-n victim counts, ascending full-n victim scan with a strict `>`.
-Status ReferenceRepairLoop(const ConstraintSet& constraints,
+Status ReferenceRepairLoop(const ViolationOracle& oracle,
                            const Feedback& feedback,
                            CorrespondenceId protected_added,
                            std::vector<Violation> violations,
@@ -49,7 +55,7 @@ Status ReferenceRepairLoop(const ConstraintSet& constraints,
           }
           instance->Set(missing);
           std::vector<Violation> introduced =
-              constraints.FindViolationsInvolving(*instance, missing);
+              oracle.FindViolationsInvolving(*instance, missing);
           if (!introduced.empty() && !allow_cascade) {
             instance->Reset(missing);
             continue;
@@ -105,7 +111,7 @@ Status ReferenceRepairLoop(const ConstraintSet& constraints,
       if (!v.Involves(victim)) next.push_back(std::move(v));
     }
     for (Violation& v :
-         constraints.FindViolationsCreatedByRemoval(*instance, victim)) {
+         oracle.FindViolationsCreatedByRemoval(*instance, victim)) {
       next.push_back(std::move(v));
     }
     violations = std::move(next);
@@ -113,7 +119,7 @@ Status ReferenceRepairLoop(const ConstraintSet& constraints,
   return Status::OK();
 }
 
-Status ReferenceRepairInstance(const ConstraintSet& constraints,
+Status ReferenceRepairInstance(const ViolationOracle& oracle,
                                const Feedback& feedback, CorrespondenceId added,
                                DynamicBitset* instance,
                                const RepairOptions& options = {}) {
@@ -123,17 +129,17 @@ Status ReferenceRepairInstance(const ConstraintSet& constraints,
   if (instance->Test(added)) return Status::OK();
   instance->Set(added);
   std::vector<Violation> violations =
-      constraints.FindViolationsInvolving(*instance, added);
-  return ReferenceRepairLoop(constraints, feedback, added,
+      oracle.FindViolationsInvolving(*instance, added);
+  return ReferenceRepairLoop(oracle, feedback, added,
                              std::move(violations), instance, options,
                              /*allow_cascade_closures=*/false);
 }
 
-Status ReferenceRepairAll(const ConstraintSet& constraints,
+Status ReferenceRepairAll(const ViolationOracle& oracle,
                           const Feedback& feedback, DynamicBitset* instance,
                           const RepairOptions& options = {}) {
-  return ReferenceRepairLoop(constraints, feedback, kInvalidCorrespondence,
-                             constraints.FindViolations(*instance), instance,
+  return ReferenceRepairLoop(oracle, feedback, kInvalidCorrespondence,
+                             oracle.FindViolations(*instance), instance,
                              options, /*allow_cascade_closures=*/true);
 }
 
@@ -141,7 +147,7 @@ Status ReferenceRepairAll(const ConstraintSet& constraints,
 /// shuffle, then a naive AdditionViolates fixpoint (no addition tracking, no
 /// candidate compaction, re-passes whenever anything was added). The kernel
 /// engine's tracked fixpoint must reproduce it bit for bit.
-void ReferenceMaximalize(const ConstraintSet& constraints,
+void ReferenceMaximalize(const ViolationOracle& oracle,
                          const Feedback& feedback, Rng* rng,
                          DynamicBitset* selection) {
   const size_t n = selection->size();
@@ -158,7 +164,7 @@ void ReferenceMaximalize(const ConstraintSet& constraints,
     added = false;
     for (CorrespondenceId c : candidates) {
       if (selection->Test(c)) continue;
-      if (!constraints.AdditionViolates(*selection, c)) {
+      if (!oracle.AdditionViolates(*selection, c)) {
         selection->Set(c);
         added = true;
       }
@@ -169,7 +175,7 @@ void ReferenceMaximalize(const ConstraintSet& constraints,
 /// The pre-kernel walk transition, preserved verbatim (fresh-vector candidate
 /// fallback included).
 StatusOr<DynamicBitset> ReferenceNextInstance(const Network& network,
-                                              const ConstraintSet& constraints,
+                                              const ViolationOracle& oracle,
                                               const SamplerOptions& options,
                                               const DynamicBitset& current,
                                               const Feedback& feedback,
@@ -197,9 +203,8 @@ StatusOr<DynamicBitset> ReferenceNextInstance(const Network& network,
   if (candidate == kInvalidCorrespondence) return current;
 
   DynamicBitset next = current;
-  const Status repaired = ReferenceRepairInstance(constraints, feedback,
-                                                  candidate, &next,
-                                                  options.repair);
+  const Status repaired = ReferenceRepairInstance(oracle, feedback, candidate,
+                                                  &next, options.repair);
   if (!repaired.ok()) return current;
   if (!options.annealing) return next;
   const double delta =
@@ -211,26 +216,26 @@ StatusOr<DynamicBitset> ReferenceNextInstance(const Network& network,
 /// The pre-kernel chain: ChainStart (closure repair, no overdispersion here)
 /// + walk_steps transitions per emitted sample, maximalized copies out.
 Status ReferenceSampleChain(const Network& network,
-                            const ConstraintSet& constraints,
+                            const ViolationOracle& oracle,
                             const SamplerOptions& options,
                             const Feedback& feedback, size_t count, Rng* rng,
                             std::vector<DynamicBitset>* out) {
   DynamicBitset state = feedback.approved();
-  if (!constraints.IsSatisfied(state)) {
+  if (!oracle.IsSatisfied(state)) {
     SMN_RETURN_IF_ERROR(
-        ReferenceRepairAll(constraints, feedback, &state, options.repair));
+        ReferenceRepairAll(oracle, feedback, &state, options.repair));
   }
   for (size_t i = 0; i < count; ++i) {
     for (size_t step = 0; step < options.walk_steps; ++step) {
       SMN_ASSIGN_OR_RETURN(
           DynamicBitset next,
-          ReferenceNextInstance(network, constraints, options, state, feedback,
+          ReferenceNextInstance(network, oracle, options, state, feedback,
                                 rng));
       state = std::move(next);
     }
     if (options.maximalize) {
       DynamicBitset sample = state;
-      ReferenceMaximalize(constraints, feedback, rng, &sample);
+      ReferenceMaximalize(oracle, feedback, rng, &sample);
       out->push_back(std::move(sample));
     } else {
       out->push_back(state);
@@ -275,6 +280,7 @@ TEST_F(WalkOracleEquivalenceTest, RepairInstanceMatchesReferenceBitForBit) {
     if (n == 0) continue;
     Feedback feedback(n);
     Sampler sampler(random.network, random.constraints);
+    const ViolationOracle oracle(random.network, random.constraints);
     WalkScratch scratch(n);
 
     // Walk a reference chain to visit representative consistent states; at
@@ -282,7 +288,7 @@ TEST_F(WalkOracleEquivalenceTest, RepairInstanceMatchesReferenceBitForBit) {
     Rng walk_rng(seed + 1);
     DynamicBitset state(n);
     for (int visit = 0; visit < 40; ++visit) {
-      auto next = ReferenceNextInstance(random.network, random.constraints,
+      auto next = ReferenceNextInstance(random.network, oracle,
                                         sampler.options(), state, feedback,
                                         &walk_rng);
       ASSERT_TRUE(next.ok());
@@ -290,8 +296,8 @@ TEST_F(WalkOracleEquivalenceTest, RepairInstanceMatchesReferenceBitForBit) {
       for (CorrespondenceId added = 0; added < n; ++added) {
         DynamicBitset reference = state;
         DynamicBitset kernel = state;
-        const Status ref_status = ReferenceRepairInstance(
-            random.constraints, feedback, added, &reference);
+        const Status ref_status =
+            ReferenceRepairInstance(oracle, feedback, added, &reference);
         const Status kernel_status = RepairInstance(
             random.constraints, feedback, added, &kernel, &scratch);
         ASSERT_EQ(ref_status.code(), kernel_status.code());
@@ -310,6 +316,7 @@ TEST_F(WalkOracleEquivalenceTest, RepairAllMatchesReferenceBitForBit) {
     const size_t n = random.network.correspondence_count();
     if (n == 0) continue;
     Feedback feedback(n);
+    const ViolationOracle oracle(random.network, random.constraints);
     WalkScratch scratch(n);
     Rng rng(seed);
     for (int trial = 0; trial < 60; ++trial) {
@@ -320,7 +327,7 @@ TEST_F(WalkOracleEquivalenceTest, RepairAllMatchesReferenceBitForBit) {
       DynamicBitset reference = mess;
       DynamicBitset kernel = mess;
       const Status ref_status =
-          ReferenceRepairAll(random.constraints, feedback, &reference);
+          ReferenceRepairAll(oracle, feedback, &reference);
       const Status kernel_status =
           RepairAll(random.constraints, feedback, &kernel, &scratch);
       ASSERT_EQ(ref_status.code(), kernel_status.code());
@@ -342,6 +349,7 @@ TEST_F(WalkOracleEquivalenceTest, MaximalizeMatchesReferenceBitForBit) {
     Feedback feedback(n);
     ASSERT_TRUE(feedback.Disapprove(static_cast<CorrespondenceId>(n / 2)).ok());
     Sampler sampler(random.network, random.constraints);
+    const ViolationOracle oracle(random.network, random.constraints);
     WalkScratch scratch(n);
     Rng walk_rng(seed + 3);
     DynamicBitset state(n);
@@ -351,8 +359,7 @@ TEST_F(WalkOracleEquivalenceTest, MaximalizeMatchesReferenceBitForBit) {
       DynamicBitset kernel = state;
       Rng reference_rng(seed * 17 + static_cast<uint64_t>(visit));
       Rng kernel_rng(seed * 17 + static_cast<uint64_t>(visit));
-      ReferenceMaximalize(random.constraints, feedback, &reference_rng,
-                          &reference);
+      ReferenceMaximalize(oracle, feedback, &reference_rng, &reference);
       Maximalize(random.constraints, feedback, &kernel_rng, &kernel, &scratch);
       ASSERT_TRUE(reference == kernel)
           << "visit " << visit << "\nref:    " << reference.ToString()
@@ -363,9 +370,9 @@ TEST_F(WalkOracleEquivalenceTest, MaximalizeMatchesReferenceBitForBit) {
 
 TEST_F(WalkOracleEquivalenceTest, ScratchReuseAcrossNetworksReseedsTracker) {
   // One scratch serving two different networks with the same candidate
-  // count — the thread-local convenience path does exactly this across
-  // consecutive SampleChain calls. The incremental tracker must detect the
-  // foreign compiled set (compile id mismatch) and reseed instead of
+  // count — a long-lived caller-owned scratch (a bench holding one across
+  // settings) does exactly this across consecutive SampleChain calls. The
+  // incremental tracker must detect the foreign compiled set (compile id mismatch) and reseed instead of
   // diff-syncing against the other network's counters.
   std::vector<testing::RandomNetwork> nets;
   for (uint64_t seed = 1; seed < 64 && nets.size() < 2; ++seed) {
@@ -390,12 +397,12 @@ TEST_F(WalkOracleEquivalenceTest, ScratchReuseAcrossNetworksReseedsTracker) {
         if (rng.Bernoulli(0.35)) state.Set(c);
       }
       ASSERT_TRUE(RepairAll(net.constraints, feedback, &state, &scratch).ok());
+      const ViolationOracle oracle(net.network, net.constraints);
       DynamicBitset reference = state;
       DynamicBitset kernel = state;
       Rng reference_rng(round * 101 + 13);
       Rng kernel_rng(round * 101 + 13);
-      ReferenceMaximalize(net.constraints, feedback, &reference_rng,
-                          &reference);
+      ReferenceMaximalize(oracle, feedback, &reference_rng, &reference);
       Maximalize(net.constraints, feedback, &kernel_rng, &kernel, &scratch);
       ASSERT_TRUE(reference == kernel) << "round " << round;
     }
@@ -408,6 +415,7 @@ TEST_F(WalkOracleEquivalenceTest, SampleChainMatchesReferenceBitForBit) {
         testing::MakeRandomNetwork({4, 3, 0.45, seed});
     if (random.network.correspondence_count() == 0) continue;
     const Feedback feedback = MakeFeedback(random, seed + 13);
+    const ViolationOracle oracle(random.network, random.constraints);
 
     for (const bool maximalize : {true, false}) {
       SamplerOptions options;
@@ -418,11 +426,14 @@ TEST_F(WalkOracleEquivalenceTest, SampleChainMatchesReferenceBitForBit) {
       Rng kernel_rng(seed * 31 + 7);
       std::vector<DynamicBitset> reference;
       std::vector<DynamicBitset> kernel;
-      ASSERT_TRUE(ReferenceSampleChain(random.network, random.constraints,
-                                       options, feedback, 120, &reference_rng,
+      ASSERT_TRUE(ReferenceSampleChain(random.network, oracle, options,
+                                       feedback, 120, &reference_rng,
                                        &reference)
                       .ok());
-      ASSERT_TRUE(sampler.SampleChain(feedback, 120, &kernel_rng, &kernel).ok());
+      WalkScratch scratch;
+      ASSERT_TRUE(
+          sampler.SampleChain(feedback, 120, &kernel_rng, &kernel, &scratch)
+              .ok());
       ASSERT_EQ(reference.size(), kernel.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         ASSERT_TRUE(reference[i] == kernel[i])
@@ -441,6 +452,7 @@ TEST_F(WalkOracleEquivalenceTest, ParallelChainsMatchReferencePerChainStreams) {
   const size_t n = random.network.correspondence_count();
   ASSERT_GT(n, 0u);
   Feedback feedback(n);
+  const ViolationOracle oracle(random.network, random.constraints);
 
   ParallelSamplerOptions options;
   options.num_chains = 4;
@@ -462,7 +474,7 @@ TEST_F(WalkOracleEquivalenceTest, ParallelChainsMatchReferencePerChainStreams) {
       Rng chain_rng = fork_base.Fork(chain);
       std::vector<DynamicBitset> reference;
       ASSERT_TRUE(ReferenceSampleChain(
-                      random.network, random.constraints,
+                      random.network, oracle,
                       parallel.sampler().options(), feedback,
                       options.burn_in + quotas[chain], &chain_rng, &reference)
                       .ok());

@@ -128,10 +128,28 @@ class AllowedPathsTest(unittest.TestCase):
         findings = lint.scan_file(path, "src/util/stopwatch.h")
         self.assertEqual([f for f in findings if f.rule == "wall-clock"], [])
 
-    def test_walk_scratch_may_use_thread_local(self):
-        path = os.path.join(REPO_ROOT, "src", "core", "walk_scratch.h")
-        findings = lint.scan_file(path, "src/core/walk_scratch.h")
+    def test_lock_rank_may_use_thread_local(self):
+        path = os.path.join(REPO_ROOT, "src", "util", "lock_rank.cc")
+        findings = lint.scan_file(path, "src/util/lock_rank.cc")
         self.assertEqual([f for f in findings if f.rule == "thread-local"], [])
+
+    def test_walk_scratch_is_not_exempt_from_thread_local(self):
+        # Walk scratch is caller-owned; a per-thread fallback reappearing in
+        # its header must fire like anywhere else.
+        self.assertNotIn("src/core/walk_scratch.h",
+                         lint.ALLOWED_PATHS["thread-local"])
+        source = ("inline int& Fallback() {\n"
+                  "  thread_local int scratch = 0;\n"
+                  "  return scratch;\n"
+                  "}\n")
+        path = os.path.join(FIXTURES, "_scratch_walk_scratch.h")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        try:
+            findings = lint.scan_file(path, "src/core/walk_scratch.h")
+        finally:
+            os.remove(path)
+        self.assertEqual(rule_counts(findings), {"thread-local": 1})
 
     def test_record_codec_may_write_raw_bytes(self):
         path = os.path.join(REPO_ROOT, "src", "util", "record_codec.cc")

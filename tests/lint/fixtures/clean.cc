@@ -34,6 +34,6 @@ int OrderedIterationIsFine() {
 
 const char* MentionsBannedNamesInComments() {
   // Never call rand() or steady_clock::now() in engine code; route through
-  // util/rng and util/stopwatch. thread_local belongs in walk_scratch.h.
+  // util/rng and util/stopwatch. thread_local belongs in util/lock_rank.cc.
   return "rand() time() thread_local std::random_device";
 }

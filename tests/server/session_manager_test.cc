@@ -106,6 +106,12 @@ TEST(SessionManagerTest, EvictionRacingInFlightAssertsFailsCleanly) {
   // manager drops its reference, it never destroys state under a live
   // call), and *later* lookups get NotFound — a clean failure, never a
   // use-after-free (ASAN/TSAN builds of this test prove the "never").
+  //
+  // Eviction is deterministic: only the reaper touches the manager's
+  // logical clock. The writer resolves the victim once, like a request that
+  // resolved its session just before the reaper ran, and keeps asserting on
+  // that shared_ptr. The reaper touches the pacer right before reaping, so
+  // the pacer's lag never exceeds the TTL and only the victim is evicted.
   const auto artifact = MakeArtifact();
   for (int round = 0; round < 8; ++round) {
     SessionManager manager(/*idle_ttl=*/1);
@@ -113,20 +119,15 @@ TEST(SessionManagerTest, EvictionRacingInFlightAssertsFailsCleanly) {
         manager.Create(artifact, ProbabilisticNetworkOptions{}, 1).value()->id();
     const SessionId pacer =
         manager.Create(artifact, ProbabilisticNetworkOptions{}, 2).value()->id();
+    const std::shared_ptr<Session> in_flight = manager.Lookup(victim).value();
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> completed{0};
 
     std::thread writer([&] {
       while (!stop.load()) {
-        // Resolve-then-call, exactly like the service's request paths.
-        StatusOr<std::shared_ptr<Session>> session = manager.Lookup(victim);
-        if (!session.ok()) {
-          EXPECT_EQ(session.status().code(), StatusCode::kNotFound);
-          break;  // Evicted: from here on the id stays NotFound.
-        }
         // The assert may run entirely after eviction; the shared_ptr keeps
         // the session alive through the call either way.
-        const Status status = session.value()->Assert(0, true);
+        const Status status = in_flight->Assert(0, true);
         EXPECT_TRUE(status.ok() ||
                     status.code() == StatusCode::kInvalidArgument)
             << status;
@@ -134,19 +135,31 @@ TEST(SessionManagerTest, EvictionRacingInFlightAssertsFailsCleanly) {
       }
     });
     std::thread reaper([&] {
-      // Age `victim` by touching only `pacer`, then reap — concurrently
-      // with the writer's Lookup/Assert cycle.
-      for (int i = 0; i < 16; ++i) {
-        ASSERT_TRUE(manager.Lookup(pacer).ok());
-        manager.ExpireIdle();
-      }
-      stop.store(true);
+      // Raises `stop` on every way out of this lambda, so a failed check
+      // can never leave the writer spinning.
+      struct StopOnExit {
+        std::atomic<bool>* stop;
+        ~StopOnExit() { stop->store(true); }
+      } stop_on_exit{&stop};
+      // Evict while the writer is mid-stream: after its first assert, and
+      // concurrently with the ones that follow.
+      while (completed.load() == 0) std::this_thread::yield();
+      EXPECT_TRUE(manager.Lookup(pacer).ok());
+      EXPECT_EQ(manager.ExpireIdle(), 1u);
+      // Let a few asserts run on the evicted session before stopping.
+      const uint64_t at_eviction = completed.load();
+      while (completed.load() < at_eviction + 4) std::this_thread::yield();
     });
     writer.join();
     reaper.join();
-    // Post-eviction the id is gone for good.
-    EXPECT_FALSE(manager.Lookup(victim).ok());
+    // Post-eviction the id is gone for good; the pacer and the in-flight
+    // handle are untouched.
+    const auto lookup = manager.Lookup(victim);
+    ASSERT_FALSE(lookup.ok());
+    EXPECT_EQ(lookup.status().code(), StatusCode::kNotFound);
     EXPECT_TRUE(manager.Lookup(pacer).ok());
+    EXPECT_EQ(manager.size(), 1u);
+    EXPECT_TRUE(in_flight->Snapshot().ok());
   }
 }
 
