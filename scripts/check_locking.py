@@ -34,6 +34,14 @@ Rules:
                     path), or a temporary `MutexLock(mu);` — which compiles,
                     locks, and unlocks again at the end of the statement,
                     protecting nothing. Use a named MutexLock.
+  assert-in-thread  A fatal gtest assertion (ASSERT_*, FAIL()) inside a
+                    lambda handed to std::thread / std::jthread, or to
+                    emplace_back / push_back on a vector of threads. A fatal
+                    assertion returns from the lambda only: the thread ends
+                    early and can strand a peer waiting on it (a consumer
+                    with no producer, a queue nobody closes). Use EXPECT_*
+                    and let the thread finish its protocol. Lambdas defined
+                    elsewhere and passed by name are out of reach.
 
 Suppression: append `// smn-lint: allow(<rule>)` — optionally several,
 comma-separated — to the offending line or the line directly above it, with
@@ -64,6 +72,7 @@ RULES = {
     "raw-sync": "raw std:: synchronization primitive outside util/mutex.h",
     "blocking-in-lock": "known blocking call inside a MutexLock scope",
     "unpaired-lock": "manual Lock() without Unlock(), or temporary MutexLock",
+    "assert-in-thread": "fatal gtest assertion inside a thread lambda",
 }
 
 # Paths (relative to the repository root, '/'-separated) where a rule does
@@ -99,6 +108,17 @@ RAW_SYNC_RE = re.compile(
     r"condition_variable|lock_guard|unique_lock|scoped_lock|shared_lock)\b")
 MANUAL_LOCK_RE = re.compile(r"((?:\w+(?:\.|->))+)Lock\s*\(\s*\)")
 MANUAL_UNLOCK_RE = re.compile(r"((?:\w+(?:\.|->))+)Unlock\s*\(\s*\)")
+# Thread construction: `std::thread t(`, `std::jthread{`, `std::thread(`.
+THREAD_CTOR_RE = re.compile(r"\bstd\s*::\s*j?thread\s*(?:\w+\s*)?[({]")
+# A vector of threads; the declared name follows the closing '>'.
+THREAD_VECTOR_RE = re.compile(
+    r"\bvector\s*<\s*std\s*::\s*j?thread\s*>\s*&?\s*(\w+)")
+# A lambda introducer plus optional parameters, specifiers and trailing
+# return type, ending at the body's '{'.
+LAMBDA_RE = re.compile(
+    r"\[[^\[\]]*\]\s*(?:\([^()]*\)\s*)?(?:mutable\s*)?"
+    r"(?:noexcept\s*)?(?:->\s*[\w:<>\s]+?\s*)?\{")
+FATAL_ASSERT_RE = re.compile(r"\b(ASSERT_[A-Z0-9_]+|FAIL)\s*\(")
 
 
 def brace_depths(text: str) -> list[int]:
@@ -135,6 +155,41 @@ def mutexlock_scopes(text: str) -> list[tuple[int, int]]:
                 break
         scopes.append((start, end))
     return scopes
+
+
+def matching_close(text: str, open_index: int) -> int:
+    """Offset of the bracket closing the '(' / '{' at open_index, or
+    len(text) when unbalanced."""
+    opening = text[open_index]
+    closing = {"(": ")", "{": "}"}[opening]
+    depth = 0
+    for i in range(open_index, len(text)):
+        if text[i] == opening:
+            depth += 1
+        elif text[i] == closing:
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
+def thread_lambda_bodies(text: str) -> list[tuple[int, int]]:
+    """(start, end) offsets of the bodies of lambdas written directly in the
+    argument list of a thread construction or of emplace_back / push_back
+    on a vector of threads declared in the same file."""
+    calls = [m.end() - 1 for m in THREAD_CTOR_RE.finditer(text)]
+    for name in {m.group(1) for m in THREAD_VECTOR_RE.finditer(text)}:
+        spawn_re = re.compile(rf"\b{re.escape(name)}\s*(?:\.|->)\s*"
+                              rf"(?:emplace_back|push_back)\s*\(")
+        calls.extend(m.end() - 1 for m in spawn_re.finditer(text))
+    bodies = []
+    for open_index in calls:
+        close_index = matching_close(text, open_index)
+        arguments = text[open_index:close_index]
+        for match in LAMBDA_RE.finditer(arguments):
+            body_open = open_index + match.end() - 1
+            bodies.append((body_open, matching_close(text, body_open)))
+    return bodies
 
 
 def enclosing_scope(scopes: list[tuple[int, int]], offset: int):
@@ -217,6 +272,19 @@ def scan_file(path: str, rel: str) -> list[Finding]:
                "temporary MutexLock is destroyed — and the mutex released — "
                "at the end of the full expression; name it "
                "(`MutexLock lock(mu);`) to hold the lock for the scope")
+
+    # --- assert-in-thread: a fatal assertion ends only the thread, which
+    # can strand the peers waiting on it.
+    reported = set()
+    for start, end in thread_lambda_bodies(text):
+        for match in FATAL_ASSERT_RE.finditer(text, start, end):
+            if match.start() in reported:
+                continue
+            reported.add(match.start())
+            report(match.start(), "assert-in-thread",
+                   f"fatal '{match.group(1)}' inside a thread lambda returns "
+                   "from the thread only and can strand a peer waiting on "
+                   "it; use EXPECT_* and let the thread finish")
 
     return findings
 

@@ -119,82 +119,130 @@ ComponentIndex ComponentIndex::Build(
   }
 
   ComponentIndex index;
-  index.component_of_.assign(correspondence_count, kNoComponent);
+  index.slot_of_.assign(correspondence_count, kNoSlot);
   // Roots appear in ascending member order, so components come out sorted by
-  // anchor and members ascending without an extra sort.
-  std::vector<size_t> root_to_component(correspondence_count, kNoComponent);
+  // anchor and members ascending without an extra sort; slot i is position i.
+  std::vector<uint32_t> root_to_slot(correspondence_count, kNoSlot);
   active.ForEachSetBit([&](size_t c) {
     const size_t root = uf.Find(c);
-    size_t component = root_to_component[root];
-    if (component == kNoComponent) {
-      component = index.components_.size();
-      root_to_component[root] = component;
-      index.components_.push_back(
+    uint32_t slot = root_to_slot[root];
+    if (slot == kNoSlot) {
+      slot = static_cast<uint32_t>(index.slots_.size());
+      root_to_slot[root] = slot;
+      index.slots_.push_back(
           ConstraintComponent{static_cast<CorrespondenceId>(c), {}});
     }
-    index.components_[component].members.push_back(
-        static_cast<CorrespondenceId>(c));
-    index.component_of_[c] = component;
+    index.slots_[slot].members.push_back(static_cast<CorrespondenceId>(c));
+    index.slot_of_[c] = slot;
   });
+  index.order_.resize(index.slots_.size());
+  std::iota(index.order_.begin(), index.order_.end(), uint32_t{0});
+  index.position_ = index.order_;
   return index;
 }
 
-ComponentIndex ComponentIndex::BuildRestricted(
+std::vector<ConstraintComponent> ComponentIndex::Split(
     const std::vector<std::vector<CorrespondenceId>>& groups,
-    const GroupIndex& group_index, const DynamicBitset& active,
-    size_t correspondence_count) {
-  UnionFind uf(correspondence_count);
-  // Union only over the groups incident to an active member; every other
-  // group links nothing (all its active-set tests fail), so the resulting
-  // partition matches the full Build exactly. The final partition is
-  // independent of union order, and the component extraction below depends
-  // only on the partition, so visiting groups in active-member order is
-  // safe.
-  DynamicBitset seen(group_index.group_count());
-  active.ForEachSetBit([&](size_t c) {
-    group_index.ForEachGroupOf(
-        static_cast<CorrespondenceId>(c), [&](uint32_t g) {
-          if (seen.Test(g)) return;
-          seen.Set(g);
-          CorrespondenceId previous = kInvalidCorrespondence;
-          for (CorrespondenceId member : groups[g]) {
-            if (!active.Test(member)) continue;
-            if (previous != kInvalidCorrespondence) uf.Union(previous, member);
-            previous = member;
-          }
-        });
-  });
-
-  ComponentIndex index;
-  index.component_of_.assign(correspondence_count, kNoComponent);
-  std::vector<size_t> root_to_component(correspondence_count, kNoComponent);
-  active.ForEachSetBit([&](size_t c) {
-    const size_t root = uf.Find(c);
-    size_t component = root_to_component[root];
-    if (component == kNoComponent) {
-      component = index.components_.size();
-      root_to_component[root] = component;
-      index.components_.push_back(
-          ConstraintComponent{static_cast<CorrespondenceId>(c), {}});
+    const GroupIndex& group_index, const ConstraintComponent& component,
+    const DeterminedSet& determined) {
+  const std::vector<CorrespondenceId>& members = component.members;
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  // Local id of an active member (its position in the ascending member
+  // list), or kNone. Every active member of a group incident to an active
+  // member already shares this component (determined only grows), so the
+  // lookup never needs to leave the member list.
+  auto local_id = [&](CorrespondenceId c) {
+    const auto it = std::lower_bound(members.begin(), members.end(), c);
+    if (it == members.end() || *it != c || determined.IsDetermined(c)) {
+      return kNone;
     }
-    index.components_[component].members.push_back(
-        static_cast<CorrespondenceId>(c));
-    index.component_of_[c] = component;
-  });
-  return index;
-}
-
-ComponentIndex ComponentIndex::FromComponents(
-    std::vector<ConstraintComponent> components, size_t correspondence_count) {
-  ComponentIndex index;
-  index.components_ = std::move(components);
-  index.component_of_.assign(correspondence_count, kNoComponent);
-  for (size_t i = 0; i < index.components_.size(); ++i) {
-    for (CorrespondenceId member : index.components_[i].members) {
-      index.component_of_[member] = i;
+    return static_cast<size_t>(it - members.begin());
+  };
+  std::vector<uint32_t> incident;
+  for (CorrespondenceId member : members) {
+    if (determined.IsDetermined(member)) continue;
+    group_index.ForEachGroupOf(member,
+                               [&](uint32_t g) { incident.push_back(g); });
+  }
+  std::sort(incident.begin(), incident.end());
+  incident.erase(std::unique(incident.begin(), incident.end()),
+                 incident.end());
+  // The partition is independent of union order, and the extraction below
+  // depends only on the partition.
+  UnionFind uf(members.size());
+  for (uint32_t g : incident) {
+    size_t previous = kNone;
+    for (CorrespondenceId member : groups[g]) {
+      const size_t local = local_id(member);
+      if (local == kNone) continue;
+      if (previous != kNone) uf.Union(previous, local);
+      previous = local;
     }
   }
-  return index;
+
+  std::vector<ConstraintComponent> parts;
+  std::vector<size_t> root_to_part(members.size(), kNone);
+  for (size_t local = 0; local < members.size(); ++local) {
+    if (determined.IsDetermined(members[local])) continue;
+    const size_t root = uf.Find(local);
+    if (root_to_part[root] == kNone) {
+      root_to_part[root] = parts.size();
+      parts.push_back(ConstraintComponent{members[local], {}});
+    }
+    parts[root_to_part[root]].members.push_back(members[local]);
+  }
+  return parts;
+}
+
+std::vector<size_t> ComponentIndex::Replace(
+    size_t i, std::vector<ConstraintComponent> parts) {
+  const uint32_t replaced = order_[i];
+  for (CorrespondenceId member : slots_[replaced].members) {
+    slot_of_[member] = kNoSlot;
+  }
+  slots_[replaced] = ConstraintComponent{};
+  free_slots_.push_back(replaced);
+
+  std::vector<uint32_t> part_slots;
+  part_slots.reserve(parts.size());
+  for (ConstraintComponent& part : parts) {
+    uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+      position_.push_back(0);
+    }
+    for (CorrespondenceId member : part.members) slot_of_[member] = slot;
+    slots_[slot] = std::move(part);
+    part_slots.push_back(slot);
+  }
+
+  // Every part anchors at or after the replaced anchor, and positions
+  // before i anchor strictly earlier, so only the tail from i on changes:
+  // merge the parts into it and renumber it.
+  std::vector<uint32_t> tail(order_.begin() + i + 1, order_.end());
+  order_.resize(i);
+  auto part_it = part_slots.begin();
+  for (uint32_t slot : tail) {
+    while (part_it != part_slots.end() &&
+           slots_[*part_it].anchor < slots_[slot].anchor) {
+      order_.push_back(*part_it++);
+    }
+    order_.push_back(slot);
+  }
+  for (; part_it != part_slots.end(); ++part_it) {
+    order_.push_back(*part_it);
+  }
+  for (size_t p = i; p < order_.size(); ++p) {
+    position_[order_[p]] = static_cast<uint32_t>(p);
+  }
+  std::vector<size_t> part_positions;
+  part_positions.reserve(part_slots.size());
+  for (uint32_t slot : part_slots) part_positions.push_back(position_[slot]);
+  return part_positions;
 }
 
 StatusOr<ComponentSubproblem> BuildComponentSubproblem(

@@ -95,9 +95,16 @@ struct ConstraintComponent {
 };
 
 /// Partition of the undetermined correspondences into constraint-connected
-/// components (union-find over the coupling groups). Rebuilt — in full or
-/// restricted to one touched component — whenever feedback pins a variable
-/// and may thereby split a component.
+/// components (union-find over the coupling groups). Built in full once per
+/// compiled artifact, then patched in place: whenever feedback pins a
+/// variable and may thereby split a component, Replace swaps that one
+/// component for its parts.
+///
+/// Storage: components live in stable *slots*, and an anchor-ordered list of
+/// slot ids gives the positional view (component(i), ascending anchor).
+/// Correspondences map to slots, so a splice rewrites only the replaced
+/// component's members, the parts' members, and the order list from the
+/// replaced position on — never the other components' member lists.
 class ComponentIndex {
  public:
   /// No components over zero correspondences.
@@ -112,42 +119,56 @@ class ComponentIndex {
       const std::vector<std::vector<CorrespondenceId>>& groups,
       const DynamicBitset& active, size_t correspondence_count);
 
-  /// Build restricted to the groups incident to `active` members (looked up
-  /// through `group_index`). Groups touching no active member union nothing,
-  /// so the result is bit-identical to the full Build over the same active
-  /// set — but the cost is O(groups of the active members), which is what
-  /// keeps per-assert component splits O(component) on million-candidate
-  /// networks.
-  static ComponentIndex BuildRestricted(
+  /// Re-partitions the members of `component` that `determined` leaves
+  /// undetermined, using only the groups incident to them (looked up
+  /// through `group_index`) and local union-find over the members. The
+  /// parts equal the components a full Build over the same active set
+  /// would produce for these members (sorted by anchor, members
+  /// ascending), at O(component) cost — which is what keeps per-assert
+  /// splits independent of network size.
+  static std::vector<ConstraintComponent> Split(
       const std::vector<std::vector<CorrespondenceId>>& groups,
-      const GroupIndex& group_index, const DynamicBitset& active,
-      size_t correspondence_count);
+      const GroupIndex& group_index, const ConstraintComponent& component,
+      const DeterminedSet& determined);
 
-  /// Reassembles an index from explicit components (ascending anchor order,
-  /// pairwise-disjoint members). Used when a partition is patched in place
-  /// after a component split rather than re-derived from the groups.
-  static ComponentIndex FromComponents(
-      std::vector<ConstraintComponent> components,
-      size_t correspondence_count);
+  /// Replaces component `i` by `parts` (pairwise-disjoint, sorted by
+  /// anchor, each anchor >= component(i).anchor, none overlapping another
+  /// component). Members of component(i) missing from every part become
+  /// kNoComponent. Components before `i` keep their positions; returns the
+  /// new position of each part (ascending, in `parts` order).
+  std::vector<size_t> Replace(size_t i, std::vector<ConstraintComponent> parts);
 
   /// Number of components.
-  size_t component_count() const { return components_.size(); }
+  size_t component_count() const { return order_.size(); }
 
   /// Component `i`, ordered by ascending anchor.
   const ConstraintComponent& component(size_t i) const {
-    return components_[i];
+    return slots_[order_[i]];
   }
 
   /// Index of the component containing `c`, or kNoComponent when `c` is
   /// determined (not in the active set).
-  size_t ComponentOf(CorrespondenceId c) const { return component_of_[c]; }
+  size_t ComponentOf(CorrespondenceId c) const {
+    const uint32_t slot = slot_of_[c];
+    return slot == kNoSlot ? kNoComponent : position_[slot];
+  }
 
   /// ComponentOf result for determined correspondences.
   static constexpr size_t kNoComponent = static_cast<size_t>(-1);
 
  private:
-  std::vector<ConstraintComponent> components_;
-  std::vector<size_t> component_of_;
+  static constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+
+  /// Component storage by slot; released slots hold no members.
+  std::vector<ConstraintComponent> slots_;
+  /// Released slots, reused last-in first-out.
+  std::vector<uint32_t> free_slots_;
+  /// Live slots in ascending anchor order.
+  std::vector<uint32_t> order_;
+  /// Slot -> position in order_ (meaningful for live slots only).
+  std::vector<uint32_t> position_;
+  /// Correspondence -> slot of its component, or kNoSlot.
+  std::vector<uint32_t> slot_of_;
 };
 
 /// A self-contained per-component reconciliation subproblem: a sub-network

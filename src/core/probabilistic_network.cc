@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -79,8 +80,7 @@ StatusOr<ProbabilisticNetwork> ProbabilisticNetwork::Create(
 
 StatusOr<ProbabilisticNetwork> ProbabilisticNetwork::Create(
     std::shared_ptr<const CompiledArtifact> artifact,
-    ProbabilisticNetworkOptions options, Rng* rng,
-    const std::vector<size_t>* component_filter) {
+    ProbabilisticNetworkOptions options, Rng* rng) {
   if (artifact == nullptr) {
     return Status::InvalidArgument("Create: artifact must be non-null");
   }
@@ -93,38 +93,24 @@ StatusOr<ProbabilisticNetwork> ProbabilisticNetwork::Create(
   // session's feedback pins variables), the coupling groups are read through
   // the artifact and never duplicated.
   pmn.determined_ = pmn.artifact_->initial_determined();
-  const ComponentIndex& initial = pmn.artifact_->initial_index();
-  if (component_filter == nullptr) {
-    pmn.index_ = initial;
-  } else {
-    // Shard projection: keep only the filtered initial components. The
-    // fresh rng->Split() above matches an unfiltered session's base stream,
-    // and each cache's stream forks on (anchor, built_at) alone, so the
-    // filtered caches are bitwise identical to their unfiltered twins.
-    std::vector<ConstraintComponent> owned;
-    owned.reserve(component_filter->size());
-    for (size_t i : *component_filter) {
-      if (i >= initial.component_count()) {
-        return Status::InvalidArgument(
-            "Create: component_filter index out of range");
-      }
-      if (!owned.empty() && initial.component(i).anchor <= owned.back().anchor) {
-        return Status::InvalidArgument(
-            "Create: component_filter must be strictly ascending");
-      }
-      owned.push_back(initial.component(i));
-    }
-    pmn.index_ = ComponentIndex::FromComponents(
-        std::move(owned), pmn.artifact_->network().correspondence_count());
-  }
+  pmn.index_ = pmn.artifact_->initial_index();
+  pmn.probabilities_.assign(pmn.artifact_->network().correspondence_count(),
+                            0.0);
   for (size_t i = 0; i < pmn.index_.component_count(); ++i) {
     SMN_ASSIGN_OR_RETURN(
         std::unique_ptr<ComponentCache> cache,
         pmn.BuildCache(pmn.index_.component(i), nullptr, /*built_at=*/0,
                        pmn.determined_));
+    pmn.Publish(*cache);
+    pmn.entropies_.push_back(cache->entropy);
     pmn.caches_.push_back(std::move(cache));
   }
-  pmn.RefreshDerivedState();
+  // The feedback closure is ground truth: pin it regardless of sampling.
+  pmn.determined_.approved.ForEachSetBit(
+      [&](size_t c) { pmn.probabilities_[c] = 1.0; });
+  pmn.determined_.disapproved.ForEachSetBit(
+      [&](size_t c) { pmn.probabilities_[c] = 0.0; });
+  pmn.RefreshExhausted();
   return pmn;
 }
 
@@ -297,6 +283,7 @@ Status ProbabilisticNetwork::AssertSoft(CorrespondenceId c, bool approved,
   const uint64_t revision = cache.evidence_revision + 1;
   ApplyEvidence(&cache, index_.component(touched));
   cache.evidence_revision = revision;
+  entropies_[touched] = cache.entropy;
   {
     // ApplyEvidence already invalidated the gains on the evidence path;
     // this also covers its early returns (contradictory-only evidence).
@@ -313,15 +300,6 @@ Status ProbabilisticNetwork::AssertSoft(CorrespondenceId c, bool approved,
 Status ProbabilisticNetwork::Assert(CorrespondenceId c, bool approved,
                                     Rng* rng) {
   (void)rng;  // See the header: randomness derives from per-component forks.
-  return AssertStamped(c, approved, assertion_count_ + 1);
-}
-
-Status ProbabilisticNetwork::AssertStamped(CorrespondenceId c, bool approved,
-                                           uint64_t revision) {
-  if (revision <= assertion_count_) {
-    return Status::InvalidArgument(
-        "AssertStamped: revision must exceed the current assertion count");
-  }
   // Stage every fallible step against local state; commit only once nothing
   // can fail anymore, so a rejected assertion (contradictory feedback
   // closure, sampler failure) leaves the network exactly as it was.
@@ -330,29 +308,24 @@ Status ProbabilisticNetwork::AssertStamped(CorrespondenceId c, bool approved,
   SMN_RETURN_IF_ERROR(feedback.Assert(c, approved));
   SMN_ASSIGN_OR_RETURN(DeterminedSet determined,
                        PropagateFeedback(artifact_->constraints(), feedback, n));
-  const uint64_t assertion_count = revision;
+  const uint64_t assertion_count = assertion_count_ + 1;
   const size_t touched = index_.ComponentOf(c);
 
-  std::vector<ConstraintComponent> split_components;
-  std::vector<std::unique_ptr<ComponentCache>> split_caches;
+  std::vector<ConstraintComponent> parts;
+  std::vector<std::unique_ptr<ComponentCache>> part_caches;
   if (touched != ComponentIndex::kNoComponent) {
     // The feedback closure only pins variables inside the touched component
     // (any newly forced correspondence shares a coupling chain with `c`), so
     // re-partitioning the touched component's surviving members is a
     // complete rebuild of the partition.
-    DynamicBitset touched_active(n);
-    for (CorrespondenceId member : index_.component(touched).members) {
-      if (!determined.IsDetermined(member)) touched_active.Set(member);
-    }
-    const ComponentIndex split = ComponentIndex::BuildRestricted(
-        artifact_->coupling_groups(), artifact_->group_index(), touched_active,
-        n);
-    for (size_t i = 0; i < split.component_count(); ++i) {
-      SMN_ASSIGN_OR_RETURN(std::unique_ptr<ComponentCache> cache,
-                           BuildCache(split.component(i), nullptr,
-                                      assertion_count, determined));
-      split_components.push_back(split.component(i));
-      split_caches.push_back(std::move(cache));
+    parts = ComponentIndex::Split(artifact_->coupling_groups(),
+                                  artifact_->group_index(),
+                                  index_.component(touched), determined);
+    for (const ConstraintComponent& part : parts) {
+      SMN_ASSIGN_OR_RETURN(
+          std::unique_ptr<ComponentCache> cache,
+          BuildCache(part, nullptr, assertion_count, determined));
+      part_caches.push_back(std::move(cache));
     }
   }
 
@@ -360,10 +333,10 @@ Status ProbabilisticNetwork::AssertStamped(CorrespondenceId c, bool approved,
   // with its frozen candidate projection and original stream. Unchanged
   // restricted feedback makes this bit-identical to the cached state — the
   // equivalence the incremental mode's correctness rests on.
-  std::vector<std::unique_ptr<ComponentCache>> rebuilt(
-      index_.component_count());
+  std::vector<std::unique_ptr<ComponentCache>> rebuilt;
   if (!options_.incremental) {
-    for (size_t i = 0; i < index_.component_count(); ++i) {
+    rebuilt.resize(caches_.size());
+    for (size_t i = 0; i < caches_.size(); ++i) {
       if (i == touched) continue;
       SMN_ASSIGN_OR_RETURN(
           rebuilt[i],
@@ -384,73 +357,109 @@ Status ProbabilisticNetwork::AssertStamped(CorrespondenceId c, bool approved,
   feedback_ = std::move(feedback);
   determined_ = std::move(determined);
   assertion_count_ = assertion_count;
-  std::vector<ConstraintComponent> components = std::move(split_components);
-  std::vector<std::unique_ptr<ComponentCache>> caches =
-      std::move(split_caches);
-  for (size_t i = 0; i < index_.component_count(); ++i) {
-    if (i == touched) continue;
-    components.push_back(index_.component(i));
-    caches.push_back(rebuilt[i] != nullptr ? std::move(rebuilt[i])
-                                           : std::move(caches_[i]));
+  for (size_t i = 0; i < rebuilt.size(); ++i) {
+    if (rebuilt[i] == nullptr) continue;
+    Retract(*caches_[i]);
+    Publish(*rebuilt[i]);
+    entropies_[i] = rebuilt[i]->entropy;
+    caches_[i] = std::move(rebuilt[i]);
   }
-
-  // Re-establish ascending anchor order (the untouched tail is sorted but
-  // the split components interleave).
-  std::vector<size_t> order(components.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return components[a].anchor < components[b].anchor;
-  });
-  std::vector<ConstraintComponent> sorted_components;
-  caches_.clear();
-  for (size_t i : order) {
-    sorted_components.push_back(std::move(components[i]));
-    caches_.push_back(std::move(caches[i]));
+  if (touched != ComponentIndex::kNoComponent) {
+    // Pin the members the closure now determines; the parts' caches write
+    // every other member.
+    for (CorrespondenceId member : index_.component(touched).members) {
+      if (determined_.approved.Test(member)) {
+        probabilities_[member] = 1.0;
+      } else if (determined_.disapproved.Test(member)) {
+        probabilities_[member] = 0.0;
+      }
+    }
+    Retract(*caches_[touched]);
+    // Free the replaced cache before the splice allocates, so its memory is
+    // recycled inside this call rather than by the caller's next allocation
+    // (a snapshot right after an assertion would otherwise pay for it).
+    caches_[touched].reset();
+    const std::vector<size_t> positions =
+        index_.Replace(touched, std::move(parts));
+    // Splice the caches and entropies like the index: positions before
+    // `touched` keep theirs, the tail takes the parts at their new
+    // positions.
+    std::vector<std::unique_ptr<ComponentCache>> tail(
+        std::make_move_iterator(caches_.begin() + touched + 1),
+        std::make_move_iterator(caches_.end()));
+    const std::vector<double> entropy_tail(entropies_.begin() + touched + 1,
+                                           entropies_.end());
+    caches_.resize(touched);
+    entropies_.resize(touched);
+    size_t k = 0;
+    size_t untouched = 0;
+    while (caches_.size() < index_.component_count()) {
+      if (k < positions.size() && positions[k] == caches_.size()) {
+        Publish(*part_caches[k]);
+        entropies_.push_back(part_caches[k]->entropy);
+        caches_.push_back(std::move(part_caches[k++]));
+      } else {
+        entropies_.push_back(entropy_tail[untouched]);
+        caches_.push_back(std::move(tail[untouched++]));
+      }
+    }
   }
-  index_ = ComponentIndex::FromComponents(std::move(sorted_components), n);
+  RefreshExhausted();
 
-  RefreshDerivedState();
+  MutexLock lock(*lazy_mu_);
+  sample_view_valid_ = false;
+  diagnostics_valid_ = false;
   return Status::OK();
 }
 
-void ProbabilisticNetwork::RefreshDerivedState() {
-  const size_t n = artifact_->network().correspondence_count();
-  probabilities_.assign(n, 0.0);
-  for (size_t i = 0; i < caches_.size(); ++i) {
-    const ConstraintComponent& component = index_.component(i);
-    for (size_t j = 0; j < component.members.size(); ++j) {
-      probabilities_[component.members[j]] =
-          caches_[i]->member_probabilities[j];
-    }
+void ProbabilisticNetwork::Publish(const ComponentCache& cache) {
+  // Member j of the component is local id member_local_ids[j], and local
+  // ids map to global ids through local_to_global.
+  const ComponentSubproblem& sub = cache.subproblem;
+  for (size_t j = 0; j < sub.member_local_ids.size(); ++j) {
+    probabilities_[sub.local_to_global[sub.member_local_ids[j]]] =
+        cache.member_probabilities[j];
   }
-  // The feedback closure is ground truth: pin it regardless of sampling.
-  determined_.approved.ForEachSetBit(
-      [&](size_t c) { probabilities_[c] = 1.0; });
-  determined_.disapproved.ForEachSetBit(
-      [&](size_t c) { probabilities_[c] = 0.0; });
+  if (!cache.exhausted) ++unexhausted_caches_;
+  if (cache.samples.empty()) ++empty_caches_;
+}
 
-  bool all_exhausted = true;
-  bool product_overflow = false;
+void ProbabilisticNetwork::Retract(const ComponentCache& cache) {
+  if (!cache.exhausted) --unexhausted_caches_;
+  if (cache.samples.empty()) --empty_caches_;
+}
+
+void ProbabilisticNetwork::RefreshExhausted() {
+  // samples() is the complete instance space when every component is
+  // exhausted and the product of the per-component sample counts, taken in
+  // anchor order, reaches at most the view cap without overflowing first. A
+  // zero count pins the product at 0 for good; without one the product only
+  // grows, so passing the cap settles the answer early.
+  exhausted_ = false;
+  if (unexhausted_caches_ > 0) return;
   size_t product = 1;
   for (const auto& cache : caches_) {
-    all_exhausted = all_exhausted && cache->exhausted;
     const size_t size = cache->samples.size();
     if (size == 0) {
-      product = 0;
-    } else if (product >
-               std::numeric_limits<size_t>::max() / size) {
-      product_overflow = true;  // Cross-product far beyond any view cap.
-    } else {
-      product *= size;
+      exhausted_ = true;
+      return;
     }
+    if (product > std::numeric_limits<size_t>::max() / size) return;
+    product *= size;
+    if (empty_caches_ == 0 && product > options_.sample_view_cap) return;
   }
-  exhausted_ = all_exhausted && !product_overflow &&
-               product <= options_.sample_view_cap;
+  exhausted_ = product <= options_.sample_view_cap;
+}
 
+const ChainDiagnostics& ProbabilisticNetwork::chain_diagnostics() const {
+  // Same latch pattern as samples(): the merge writes an n-wide R-hat
+  // vector, so it runs only when a caller asks, not on every assertion.
+  MutexLock lock(*lazy_mu_);
+  if (diagnostics_valid_) return merged_diagnostics_;
   // Merge per-component diagnostics pessimistically.
   ChainDiagnostics merged;
   merged.exact = true;
-  merged.psrf.assign(n, 1.0);
+  merged.psrf.assign(artifact_->network().correspondence_count(), 1.0);
   bool any_sampled = false;
   for (size_t i = 0; i < caches_.size(); ++i) {
     const ChainDiagnostics& diagnostics = caches_[i]->diagnostics;
@@ -476,14 +485,13 @@ void ProbabilisticNetwork::RefreshDerivedState() {
     }
   }
   merged_diagnostics_ = std::move(merged);
-
-  MutexLock lock(*lazy_mu_);
-  sample_view_valid_ = false;
+  diagnostics_valid_ = true;
+  return merged_diagnostics_;
 }
 
 double ProbabilisticNetwork::Uncertainty() const {
   double total = 0.0;
-  for (const auto& cache : caches_) total += cache->entropy;
+  for (double entropy : entropies_) total += entropy;
   return total;
 }
 
@@ -625,16 +633,8 @@ double ProbabilisticNetwork::ComponentEffectiveSampleSize(size_t i) const {
   return EffectiveSampleSize(cache.weights);
 }
 
-double ProbabilisticNetwork::ComponentEntropy(size_t i) const {
-  return caches_[i]->entropy;
-}
-
 bool ProbabilisticNetwork::ComponentExhausted(size_t i) const {
   return caches_[i]->exhausted;
-}
-
-size_t ProbabilisticNetwork::ComponentSampleCount(size_t i) const {
-  return caches_[i]->samples.size();
 }
 
 const std::vector<DynamicBitset>& ProbabilisticNetwork::samples() const {

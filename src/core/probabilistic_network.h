@@ -68,12 +68,13 @@ struct ProbabilisticNetworkOptions {
 /// Concurrency contract: const accessors — probabilities(), Uncertainty(),
 /// InformationGains(), ComponentGains(), samples(), the diagnostics — are
 /// safe to call concurrently from any number of threads on one instance;
-/// the lazily memoized state they share (the per-component gain caches and
-/// the stitched sample view) is protected by annotated locks, enforced at
-/// compile time by -Wthread-safety. The mutating entry points (Assert,
-/// AssertSoft) require exclusive access: callers serialize writes against
-/// all other calls, the discipline a session manager provides naturally
-/// (snapshot-consistent reads between asserts).
+/// the lazily memoized state they share (the per-component gain caches, the
+/// stitched sample view and the merged diagnostics) is protected by
+/// annotated locks, enforced at compile time by -Wthread-safety. The
+/// mutating entry points (Assert, AssertSoft) require exclusive access:
+/// callers serialize writes against all other calls, the discipline a
+/// session manager provides naturally (snapshot-consistent reads between
+/// asserts).
 class ProbabilisticNetwork {
  public:
   /// Builds the network state and draws the initial per-component sample
@@ -90,18 +91,9 @@ class ProbabilisticNetwork {
   /// over one tenant share one artifact — the compiled constraint tables and
   /// coupling groups are never duplicated. Bit-identical to the borrowing
   /// Create for the same network, constraints, options, and rng stream.
-  /// `component_filter`, when non-null, restricts the session to the given
-  /// *initial* component indices (ascending indices into
-  /// artifact->initial_index()): only those components get caches and
-  /// marginals; every other correspondence reads probability 0. This is the
-  /// shard projection — because coupling groups never span initial
-  /// components, a filtered session's state over its components is bitwise
-  /// identical to the same components inside an unfiltered session, provided
-  /// asserts are stamped with the global revision (see AssertStamped).
   static StatusOr<ProbabilisticNetwork> Create(
       std::shared_ptr<const CompiledArtifact> artifact,
-      ProbabilisticNetworkOptions options, Rng* rng,
-      const std::vector<size_t>* component_filter = nullptr);
+      ProbabilisticNetworkOptions options, Rng* rng);
 
   /// Movable, not copyable (per-component caches are owned exclusively).
   ProbabilisticNetwork(ProbabilisticNetwork&&) = default;
@@ -135,19 +127,10 @@ class ProbabilisticNetwork {
   /// `rng` is accepted for interface stability but not consumed: all
   /// sampling randomness derives from per-component streams forked off the
   /// Create-time split, which is what keeps incremental and full re-sampling
-  /// bit-identical.
+  /// bit-identical. Besides the re-sampling, the work is O(touched
+  /// component): the partition is spliced in place and only the touched
+  /// members' probabilities are rewritten.
   Status Assert(CorrespondenceId c, bool approved, Rng* rng);
-
-  /// Assert with an explicit revision stamp: integrates the assertion as if
-  /// it were the `revision`-th successful assert of a monolithic session
-  /// (the rebuilt caches' RNG streams fork on `revision`, and
-  /// assertion_count() jumps to it). Assert(c, a, rng) is exactly
-  /// AssertStamped(c, a, assertion_count() + 1). Sharded execution routes
-  /// each globally accepted assert to the owning shard with the
-  /// coordinator's global revision, which is what keeps a
-  /// component-filtered session's sample streams bitwise identical to the
-  /// monolithic path. `revision` must be greater than assertion_count().
-  Status AssertStamped(CorrespondenceId c, bool approved, uint64_t revision);
 
   /// Records one noisy expert answer on `c` under the worker error-rate
   /// model (see SoftEvidence) and reweights the touched component's
@@ -206,10 +189,9 @@ class ProbabilisticNetwork {
   /// exhaustively, otherwise the pessimistic combination (minimum usable
   /// chains, maximum R̂, per-correspondence R̂ mapped back to global ids).
   /// Callers gate trust in the probability estimates on
-  /// chain_diagnostics().Converged().
-  const ChainDiagnostics& chain_diagnostics() const {
-    return merged_diagnostics_;
-  }
+  /// chain_diagnostics().Converged(). Merged lazily on first use after an
+  /// assertion.
+  const ChainDiagnostics& chain_diagnostics() const;
 
   /// The feedback closure: correspondences logically determined in or out
   /// by the assertions made so far (see PropagateFeedback).
@@ -254,17 +236,9 @@ class ProbabilisticNetwork {
   /// is rebuilt.
   const std::vector<double>& ComponentGains(size_t i) const;
 
-  /// Entropy contribution of component `i` to H(C, P), in bits.
-  double ComponentEntropy(size_t i) const;
-
   /// True when component `i`'s sample set provably holds its every
   /// sub-instance.
   bool ComponentExhausted(size_t i) const;
-
-  /// Number of maintained samples of component `i` (|Ω*_K|). Snapshot
-  /// merging uses (anchor, exhausted, sample count) triples to reproduce the
-  /// monolithic exhausted() cross-product check across shards.
-  size_t ComponentSampleCount(size_t i) const;
 
   /// Number of assertions integrated so far. Also serves as a partition
   /// version: the component structure only changes when this advances.
@@ -333,9 +307,14 @@ class ProbabilisticNetwork {
       const std::vector<CorrespondenceId>* frozen_candidates,
       uint64_t built_at, const DeterminedSet& determined) const;
 
-  /// Recomputes probabilities_, the exhausted flag, and merged diagnostics
-  /// from the component caches and the determined closure.
-  void RefreshDerivedState();
+  /// Writes `cache`'s member probabilities into probabilities_ and adds it
+  /// to the exhausted-flag tallies; Retract removes it from the tallies.
+  void Publish(const ComponentCache& cache);
+  void Retract(const ComponentCache& cache);
+
+  /// Recomputes exhausted_ from the tallies, walking the per-component
+  /// sample counts only when every component is exhausted.
+  void RefreshExhausted();
 
   /// Recomputes `cache`'s importance weights, member marginals, and entropy
   /// from the soft evidence on the component's members. No-op (weights stay
@@ -367,22 +346,33 @@ class ProbabilisticNetwork {
   SoftEvidence soft_evidence_;
   DeterminedSet determined_;
   ComponentIndex index_;
-  /// Parallel to index_ components (ascending anchor order).
+  /// Parallel to index_ components (ascending anchor order); spliced
+  /// alongside the index.
   std::vector<std::unique_ptr<ComponentCache>> caches_;
+  /// Parallel to caches_: each cache's entropy, kept contiguous so
+  /// Uncertainty() sums without touching the caches themselves.
+  std::vector<double> entropies_;
   /// Seed generator split off the Create-time rng; every per-component
   /// stream is a pure Fork of it keyed by (anchor, built_at).
   Rng base_;
   uint64_t assertion_count_ = 0;
   uint64_t instance_id_ = 0;
   std::vector<double> probabilities_;
-  ChainDiagnostics merged_diagnostics_;
+  /// Live caches that are not exhausted, and that hold no sample: exhausted_
+  /// is false while the first is nonzero, and a zero sample count ends the
+  /// cross-product walk.
+  size_t unexhausted_caches_ = 0;
+  size_t empty_caches_ = 0;
   bool exhausted_ = false;
-  /// Guards the lazily stitched whole-network sample view (samples()
-  /// materializes it on first use after an assertion). Held via unique_ptr
-  /// so the network stays movable; never null on a live instance.
+  /// Guards the lazily derived whole-network views: the stitched sample view
+  /// (samples()) and the merged diagnostics (chain_diagnostics()), each
+  /// materialized on first use after an assertion. Held via unique_ptr so
+  /// the network stays movable; never null on a live instance.
   mutable std::unique_ptr<Mutex> lazy_mu_;
   mutable std::vector<DynamicBitset> sample_view_ SMN_GUARDED_BY(*lazy_mu_);
   mutable bool sample_view_valid_ SMN_GUARDED_BY(*lazy_mu_) = false;
+  mutable ChainDiagnostics merged_diagnostics_ SMN_GUARDED_BY(*lazy_mu_);
+  mutable bool diagnostics_valid_ SMN_GUARDED_BY(*lazy_mu_) = false;
 };
 
 }  // namespace smn

@@ -48,11 +48,10 @@ StatusOr<SessionId> ReconcileService::OpenSession(TenantId tenant,
   SessionManager::PrePublishHook pre_publish;
   if (!options_.journal_dir.empty()) {
     const JournalOptions journal = journal_options();
-    const uint64_t shards = options_.session_shards;
-    pre_publish = [journal, tenant, seed, shards](Session& session) {
+    pre_publish = [journal, tenant, seed](Session& session) {
       SMN_ASSIGN_OR_RETURN(
           std::unique_ptr<SessionLog> log,
-          SessionLog::Create(journal, session.id(), tenant, seed, shards));
+          SessionLog::Create(journal, session.id(), tenant, seed));
       session.AttachJournal(std::move(log));
       return Status::OK();
     };
@@ -60,7 +59,7 @@ StatusOr<SessionId> ReconcileService::OpenSession(TenantId tenant,
   SMN_ASSIGN_OR_RETURN(
       std::shared_ptr<Session> session,
       sessions_.Create(std::move(artifact), options_.network, seed,
-                       options_.session_shards, pre_publish));
+                       pre_publish));
   {
     MutexLock lock(stats_mu_);
     ++stats_.sessions_opened;
@@ -156,7 +155,7 @@ Status ReconcileService::RecoverOne(const std::string& journal_dir,
   SMN_ASSIGN_OR_RETURN(
       std::shared_ptr<Session> session,
       sessions_.Restore(open.session_id, std::move(artifact), options_.network,
-                        open.seed, open.shards));
+                        open.seed));
   // Replay into the bare (unjournaled) session: the engine is deterministic
   // in (seed, record order), so accepted records rebuild the exact state and
   // rejected records reject exactly as they did pre-crash. The replay-local

@@ -35,11 +35,6 @@ struct ServerOptions {
   /// Logical-tick idle TTL for sessions (see SessionManager); 0 = never
   /// expire.
   uint64_t session_idle_ttl = 0;
-  /// Worker shards per session: 0 opens monolithic sessions (the default),
-  /// K ≥ 1 opens component-sharded sessions with K workers each (see
-  /// ShardedNetwork). Bitwise identical results either way; Reconcile is
-  /// monolithic-only.
-  size_t session_shards = 0;
   /// Write-ahead journal directory; empty (the default) disables
   /// durability. When set, every session journals its asserts before
   /// applying them and Recover() can rebuild sessions after a crash. Note

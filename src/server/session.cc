@@ -10,7 +10,7 @@ Session::Session(SessionId id, uint64_t seed)
 
 StatusOr<std::unique_ptr<Session>> Session::Create(
     SessionId id, std::shared_ptr<const CompiledArtifact> artifact,
-    const ProbabilisticNetworkOptions& options, uint64_t seed, size_t shards) {
+    const ProbabilisticNetworkOptions& options, uint64_t seed) {
   if (artifact == nullptr) {
     return Status::InvalidArgument("Session::Create: artifact must be non-null");
   }
@@ -19,26 +19,12 @@ StatusOr<std::unique_ptr<Session>> Session::Create(
   // access pattern provable instead of exempted.
   auto session = std::unique_ptr<Session>(new Session(id, seed));
   MutexLock lock(session->mu_);
-  if (shards >= 1) {
-    ShardedNetworkOptions sharded_options;
-    sharded_options.network = options;
-    sharded_options.shards = shards;
-    SMN_ASSIGN_OR_RETURN(
-        session->sharded_,
-        ShardedNetwork::Create(std::move(artifact), std::move(sharded_options),
-                               seed));
-    return session;
-  }
   SMN_ASSIGN_OR_RETURN(
       ProbabilisticNetwork pmn,
       ProbabilisticNetwork::Create(std::move(artifact), options,
                                    &session->rng_));
   session->pmn_.emplace(std::move(pmn));
   return session;
-}
-
-uint64_t Session::RevisionLocked() const {
-  return sharded_ != nullptr ? sharded_->revision() : pmn_->assertion_count();
 }
 
 void Session::AttachJournal(std::unique_ptr<SessionLog> log) {
@@ -62,10 +48,10 @@ Status Session::Assert(CorrespondenceId c, bool approved) {
     // engine sees it — fail-stop, state untouched. The write must happen
     // under mu_ (log order is the replay order) and is file I/O, not a lock
     // wait: the journal takes no smn::Mutex, so no cycle reaches mu_.
+    const uint64_t revision = pmn_->assertion_count();
     // smn-lint: allow(blocking-in-lock)
-    SMN_RETURN_IF_ERROR(journal_->LogAssert(c, approved, RevisionLocked()));
+    SMN_RETURN_IF_ERROR(journal_->LogAssert(c, approved, revision));
   }
-  if (sharded_ != nullptr) return sharded_->Assert(c, approved);
   return pmn_->Assert(c, approved, &rng_);
 }
 
@@ -78,11 +64,7 @@ Status Session::AssertSoft(CorrespondenceId c, bool approved,
     SMN_RETURN_IF_ERROR(  // smn-lint: allow(blocking-in-lock)
         journal_->LogAssertSoft(c, approved, error_rate, soft_answers_));
   }
-  if (sharded_ != nullptr) {
-    SMN_RETURN_IF_ERROR(sharded_->AssertSoft(c, approved, error_rate));
-  } else {
-    SMN_RETURN_IF_ERROR(pmn_->AssertSoft(c, approved, error_rate, &rng_));
-  }
+  SMN_RETURN_IF_ERROR(pmn_->AssertSoft(c, approved, error_rate, &rng_));
   ++soft_answers_;
   return Status::OK();
 }
@@ -91,15 +73,6 @@ StatusOr<SessionSnapshot> Session::Snapshot() const {
   MutexLock lock(mu_);
   SessionSnapshot snapshot;
   snapshot.session_id = id_;
-  if (sharded_ != nullptr) {
-    SMN_ASSIGN_OR_RETURN(ShardedSnapshot sharded, sharded_->Snapshot());
-    snapshot.revision = sharded.revision;
-    snapshot.soft_answer_count = soft_answers_;
-    snapshot.probabilities = std::move(sharded.probabilities);
-    snapshot.uncertainty = sharded.uncertainty;
-    snapshot.exhausted = sharded.exhausted;
-    return snapshot;
-  }
   snapshot.revision = pmn_->assertion_count();
   snapshot.soft_answer_count = soft_answers_;
   snapshot.probabilities = pmn_->probabilities();
@@ -113,11 +86,6 @@ StatusOr<ReconcileTrace> Session::Reconcile(StrategyKind kind,
                                             AssertionOracle oracle,
                                             const ElicitationPolicy& policy) {
   MutexLock lock(mu_);
-  if (sharded_ != nullptr) {
-    return Status::Unimplemented(
-        "Reconcile requires a monolithic session (shards = 0): the "
-        "reconciler loop drives the network directly");
-  }
   if (journal_ != nullptr) {
     return Status::FailedPrecondition(
         "Reconcile is not available on a journaled session: the reconciler "

@@ -10,7 +10,6 @@
 #include "core/reconciler.h"
 #include "core/selection_strategy.h"
 #include "server/session_journal.h"
-#include "server/sharded_network.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/statusor.h"
@@ -65,17 +64,9 @@ class Session {
   /// Builds the session's network state over `artifact` (drawing the
   /// initial sample sets from a fresh Rng seeded with `seed`) and wraps it.
   /// Fails when the artifact is null or the network build fails.
-  ///
-  /// `shards` selects the execution engine: 0 runs the monolithic
-  /// ProbabilisticNetwork on the caller's thread (the default); K ≥ 1 runs
-  /// a ShardedNetwork with K worker shards. Both engines are bitwise
-  /// identical for equal (artifact, options, seed) and assert sequences —
-  /// snapshots, traces, and gains cannot tell them apart — except that
-  /// Reconcile is monolithic-only (Unimplemented on a sharded session).
   static StatusOr<std::unique_ptr<Session>> Create(
       SessionId id, std::shared_ptr<const CompiledArtifact> artifact,
-      const ProbabilisticNetworkOptions& options, uint64_t seed,
-      size_t shards = 0);
+      const ProbabilisticNetworkOptions& options, uint64_t seed);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -111,8 +102,7 @@ class Session {
   Status AssertSoft(CorrespondenceId c, bool approved, double error_rate)
       SMN_EXCLUDES(mu_);
 
-  /// Copies a consistent view of the current state. Fails only on a
-  /// degraded sharded session (a shard worker failed earlier).
+  /// Copies a consistent view of the current state.
   StatusOr<SessionSnapshot> Snapshot() const SMN_EXCLUDES(mu_);
 
   /// Runs Algorithm 1 inside the session until `goal` is met, selecting
@@ -137,25 +127,15 @@ class Session {
   /// and then by reconciliation steps, exactly like a batch run's local Rng.
   Rng rng_ SMN_GUARDED_BY(mu_);
   /// Engaged by Create before the session is published; never nullopt on a
-  /// live *monolithic* session (optional only bridges construction order:
-  /// the network is built from rng_, which must exist first). Nullopt on a
-  /// sharded session.
+  /// live session (optional only bridges construction order: the network is
+  /// built from rng_, which must exist first).
   std::optional<ProbabilisticNetwork> pmn_ SMN_GUARDED_BY(mu_);
-  /// The sharded execution engine; non-null exactly when the session was
-  /// created with shards ≥ 1 (then pmn_ is nullopt). The engine serializes
-  /// internally, but session calls still hold mu_ — Snapshot's consistency
-  /// contract spans soft_answers_ too.
-  std::unique_ptr<ShardedNetwork> sharded_ SMN_GUARDED_BY(mu_);
   /// Noisy answers recorded so far (SoftEvidence counts per-correspondence;
   /// this is the session-total the snapshot exposes).
   uint64_t soft_answers_ SMN_GUARDED_BY(mu_) = 0;
   /// The write-ahead journal; null on a non-durable session. Appended to
   /// under mu_ before every engine mutation.
   std::unique_ptr<SessionLog> journal_ SMN_GUARDED_BY(mu_);
-
-  /// The engine's accepted-hard-assert count (the revision stamped into
-  /// journal records).
-  uint64_t RevisionLocked() const SMN_REQUIRES(mu_);
 };
 
 }  // namespace server

@@ -18,13 +18,13 @@ void AppendKind(std::string* out, JournalRecordKind kind) {
 }  // namespace
 
 std::string EncodeOpenRecord(uint64_t session_id, uint64_t tenant_id,
-                             uint64_t seed, uint64_t shards) {
+                             uint64_t seed) {
   std::string payload;
   AppendKind(&payload, JournalRecordKind::kOpen);
   AppendU64(&payload, session_id);
   AppendU64(&payload, tenant_id);
   AppendU64(&payload, seed);
-  AppendU64(&payload, shards);
+  AppendU64(&payload, 0);  // Reserved.
   return payload;
 }
 
@@ -63,12 +63,13 @@ StatusOr<JournalRecord> DecodeJournalRecord(std::string_view payload) {
   }
   JournalRecord record;
   uint32_t approved = 0;
+  uint64_t reserved = 0;
   switch (static_cast<JournalRecordKind>(kind)) {
     case JournalRecordKind::kOpen:
       record.kind = JournalRecordKind::kOpen;
       if (!ReadU64(&rest, &record.session_id) ||
           !ReadU64(&rest, &record.tenant_id) ||
-          !ReadU64(&rest, &record.seed) || !ReadU64(&rest, &record.shards)) {
+          !ReadU64(&rest, &record.seed) || !ReadU64(&rest, &reserved)) {
         return Status::DataLoss("journal record: truncated Open record");
       }
       break;
@@ -147,7 +148,7 @@ SessionLog::SessionLog(const JournalOptions& options, std::string path)
 
 StatusOr<std::unique_ptr<SessionLog>> SessionLog::Create(
     const JournalOptions& options, uint64_t session_id, uint64_t tenant_id,
-    uint64_t seed, uint64_t shards) {
+    uint64_t seed, uint64_t /*ignored*/) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("SessionLog: journal dir must be set");
   }
@@ -158,7 +159,7 @@ StatusOr<std::unique_ptr<SessionLog>> SessionLog::Create(
                        RecordWriter::Open(log->path_, /*truncate=*/true));
   log->writer_.emplace(std::move(writer));
   SMN_RETURN_IF_ERROR(log->writer_->Append(
-      EncodeOpenRecord(session_id, tenant_id, seed, shards)));
+      EncodeOpenRecord(session_id, tenant_id, seed)));
   SMN_RETURN_IF_ERROR(log->writer_->Sync());
   return log;
 }

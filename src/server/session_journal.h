@@ -21,15 +21,16 @@ namespace server {
 /// One journal file per session (`session-<zero-padded-id>.wal` under the
 /// journal directory), written through the sanctioned record codec
 /// (util/record_codec.h: length + CRC32 framing, torn tails detectable).
-/// The first record is always Open (session id, tenant id, seed, shards —
+/// The first record is always Open (session id, tenant id, seed —
 /// everything Session::Create needs to rebuild the exact same initial
-/// state); each accepted *or rejected* Assert/AssertSoft request is
-/// appended BEFORE the engine mutates, so replaying the log through the
-/// deterministic engine reproduces the pre-crash session bit for bit
-/// (rejected requests reject identically on replay — they are kept in the
-/// log precisely so arrival ordinals line up). A Close record marks a clean
-/// shutdown; its file is unlinked, so a journal file that still exists
-/// names a session to recover.
+/// state — plus a reserved word, see EncodeOpenRecord); each accepted *or
+/// rejected* Assert/AssertSoft request is appended BEFORE the engine
+/// mutates, so replaying the log through the deterministic engine
+/// reproduces the pre-crash session bit for bit (rejected requests reject
+/// identically on replay — they are kept in the log precisely so arrival
+/// ordinals line up). A Close record marks a clean shutdown; its file is
+/// unlinked, so a journal file that still exists names a session to
+/// recover.
 ///
 /// Threading: a SessionLog belongs to one Session and is only called under
 /// that session's mutex, which is what makes journal order equal engine
@@ -52,7 +53,6 @@ struct JournalRecord {
   uint64_t session_id = 0;
   uint64_t tenant_id = 0;
   uint64_t seed = 0;
-  uint64_t shards = 0;
 
   // kAssert / kAssertSoft
   CorrespondenceId correspondence = 0;
@@ -66,8 +66,12 @@ struct JournalRecord {
   uint64_t stamp = 0;
 };
 
+/// The Open record ends in a reserved 64-bit word, written as 0. Older
+/// journals stored a per-session shard count there; every engine
+/// configuration produced bitwise-identical sessions, so the decoder reads
+/// and ignores it, and such journals recover unchanged.
 std::string EncodeOpenRecord(uint64_t session_id, uint64_t tenant_id,
-                             uint64_t seed, uint64_t shards);
+                             uint64_t seed);
 std::string EncodeAssertRecord(CorrespondenceId c, bool approved,
                                uint64_t revision);
 std::string EncodeAssertSoftRecord(CorrespondenceId c, bool approved,
@@ -107,10 +111,12 @@ class SessionLog {
   /// Starts a fresh journal for a newly opened session: ensures the
   /// directory, truncates any stale file for this id, appends the Open
   /// record, and syncs it (a session the caller was told exists must be
-  /// recoverable from its very first record).
+  /// recoverable from its very first record). The trailing parameter is
+  /// ignored and kept only so callers that still pass the former shard
+  /// count compile; the Open record's reserved word is always 0.
   static StatusOr<std::unique_ptr<SessionLog>> Create(
       const JournalOptions& options, uint64_t session_id, uint64_t tenant_id,
-      uint64_t seed, uint64_t shards);
+      uint64_t seed, uint64_t /*ignored*/ = 0);
 
   /// Reopens an existing journal in append mode after recovery replayed it.
   /// Writes nothing.

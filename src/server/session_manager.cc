@@ -9,7 +9,7 @@ namespace server {
 
 StatusOr<std::shared_ptr<Session>> SessionManager::Create(
     std::shared_ptr<const CompiledArtifact> artifact,
-    const ProbabilisticNetworkOptions& options, uint64_t seed, size_t shards,
+    const ProbabilisticNetworkOptions& options, uint64_t seed,
     const PrePublishHook& pre_publish) {
   SessionId id = 0;
   {
@@ -20,7 +20,7 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Create(
   // expensive part of session creation and must not serialize the server.
   SMN_ASSIGN_OR_RETURN(
       std::unique_ptr<Session> session,
-      Session::Create(id, std::move(artifact), options, seed, shards));
+      Session::Create(id, std::move(artifact), options, seed));
   if (pre_publish) SMN_RETURN_IF_ERROR(pre_publish(*session));
   std::shared_ptr<Session> shared = std::move(session);
   {
@@ -33,7 +33,7 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Create(
 
 StatusOr<std::shared_ptr<Session>> SessionManager::Restore(
     SessionId id, std::shared_ptr<const CompiledArtifact> artifact,
-    const ProbabilisticNetworkOptions& options, uint64_t seed, size_t shards) {
+    const ProbabilisticNetworkOptions& options, uint64_t seed) {
   {
     MutexLock lock(mu_);
     if (sessions_.count(id) != 0) {
@@ -44,7 +44,7 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Restore(
   }
   SMN_ASSIGN_OR_RETURN(
       std::unique_ptr<Session> session,
-      Session::Create(id, std::move(artifact), options, seed, shards));
+      Session::Create(id, std::move(artifact), options, seed));
   std::shared_ptr<Session> shared = std::move(session);
   {
     MutexLock lock(mu_);

@@ -46,16 +46,14 @@ class SessionManager {
   using PrePublishHook = std::function<Status(Session&)>;
 
   /// Creates a session over `artifact`, building its initial sample state
-  /// outside the manager lock, and publishes it under a fresh id. `shards`
-  /// selects the session's execution engine (see Session::Create): 0 is
-  /// monolithic, K ≥ 1 runs K worker shards. `pre_publish`, when set, runs
+  /// outside the manager lock, and publishes it under a fresh id.
+  /// `pre_publish`, when set, runs
   /// after the build and before the session becomes visible (uncontended —
   /// no other thread can hold the session yet).
   StatusOr<std::shared_ptr<Session>> Create(
       std::shared_ptr<const CompiledArtifact> artifact,
       const ProbabilisticNetworkOptions& options, uint64_t seed,
-      size_t shards = 0, const PrePublishHook& pre_publish = nullptr)
-      SMN_EXCLUDES(mu_);
+      const PrePublishHook& pre_publish = nullptr) SMN_EXCLUDES(mu_);
 
   /// Recovery-path Create: rebuilds a session under its *original* id (the
   /// id its journal was written for) instead of allocating a fresh one, and
@@ -65,8 +63,8 @@ class SessionManager {
   /// pre-publish hook — the session is published bare.
   StatusOr<std::shared_ptr<Session>> Restore(
       SessionId id, std::shared_ptr<const CompiledArtifact> artifact,
-      const ProbabilisticNetworkOptions& options, uint64_t seed,
-      size_t shards = 0) SMN_EXCLUDES(mu_);
+      const ProbabilisticNetworkOptions& options, uint64_t seed)
+      SMN_EXCLUDES(mu_);
 
   /// Resolves `id` and marks the session used at the current tick. Returns
   /// NotFound for unknown (or already expired/closed) ids.

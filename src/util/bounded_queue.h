@@ -11,10 +11,9 @@
 
 namespace smn {
 
-/// Bounded blocking FIFO queue: the mailbox between a sharded session's
-/// coordinator and its shard workers. Multiple producers, any number of
-/// consumers (shard workers use exactly one, which is what makes queue
-/// order an execution order).
+/// Bounded blocking FIFO queue. Multiple producers, any number of consumers
+/// (with exactly one consumer, queue order is execution order).
+/// ReconcileService uses one as its admission bound for Submit* requests.
 ///
 /// Backpressure and shutdown semantics:
 ///  - Push blocks while the queue is full; it fails (returns false) once

@@ -11,7 +11,7 @@
 namespace smn {
 
 /// Deterministic fault-injection framework: named sites threaded through
-/// journal I/O, the bounded queues, the shard workers, and the thread pool,
+/// journal I/O, the bounded queues, and the thread pool,
 /// firing on a *schedule* — the Nth arrival at a site, a range of arrivals,
 /// or a seeded coin — so chaos tests can reproduce a failure bit-for-bit
 /// from its plan string and seed.
@@ -42,8 +42,6 @@ namespace smn {
 ///   record.append.partial  journal append writes a torn prefix, then fails
 ///   record.sync            fsync of the journal fd fails
 ///   bounded_queue.push     Push/TryPush/PushWithDeadline fails as if closed
-///   shard.worker           shard worker fails its next request (degrades
-///                          the session like ShardedNetworkOptions::fault_hook)
 ///   thread_pool.worker     pool worker dies before its next task; queued
 ///                          tasks survive and Shutdown() drains them inline
 class FaultInjection {

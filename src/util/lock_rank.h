@@ -31,8 +31,6 @@ struct LockRank {
   static constexpr uint32_t kSessionManager = 110;
   /// Per-session state lock (session.state).
   static constexpr uint32_t kSession = 200;
-  /// ShardedNetwork coordinator ledgers (shard.coordinator).
-  static constexpr uint32_t kShardCoordinator = 300;
   /// InformationGainStrategy incremental bookkeeping (strategy.gain_cache).
   static constexpr uint32_t kSelectionStrategy = 400;
   /// Per-component lazy gain memoization (pn.component_gains).
@@ -45,8 +43,6 @@ struct LockRank {
   static constexpr uint32_t kBoundedQueue = 610;
   /// ReconcileService request counters (service.stats). Leaf.
   static constexpr uint32_t kServiceStats = 900;
-  /// ShardedNetwork sticky first-failure status (shard.degraded). Leaf.
-  static constexpr uint32_t kShardDegraded = 910;
   /// Fault-injection registry (fault.registry). Deepest leaf: its sites are
   /// consulted from under nearly every other lock in chaos builds.
   static constexpr uint32_t kFaultRegistry = 950;

@@ -3,9 +3,10 @@
 // (the crash signature — destructors never journal a Close), a fresh
 // service re-registers the same tenants and replays the journals, and the
 // recovered sessions must be bitwise identical to the pre-crash ones —
-// marginals, uncertainty, revision, soft answer count — for monolithic and
-// sharded execution alike, under scripts that include *rejected* asserts
-// (journaled too, so replay keeps the arrival ordinals aligned).
+// marginals, uncertainty, revision, soft answer count — under scripts that
+// include *rejected* asserts (journaled too, so replay keeps the arrival
+// ordinals aligned), including journals written with a nonzero legacy word
+// in the Open record.
 
 #include <fstream>
 #include <memory>
@@ -98,19 +99,15 @@ void ExpectStateEqual(const SessionSnapshot& got, const SessionSnapshot& want) {
   EXPECT_EQ(got.exhausted, want.exhausted);
 }
 
-void RunKillAndRecover(size_t shards, bool with_soft, const std::string& dir) {
-  SCOPED_TRACE("shards=" + std::to_string(shards) +
-               (with_soft ? " mixed" : " hard-only"));
+void RunKillAndRecover(bool with_soft, const std::string& dir) {
+  SCOPED_TRACE(with_soft ? "mixed" : "hard-only");
   CleanDir(dir);
   constexpr uint64_t kSeed = 11;
   ServerOptions journaled;
   journaled.journal_dir = dir;
-  journaled.session_shards = shards;
-  ServerOptions plain;
-  plain.session_shards = shards;
 
-  // The uninterrupted reference run (no journal, same seed, same engine).
-  ReconcileService reference(plain);
+  // The uninterrupted reference run (no journal, same seed).
+  ReconcileService reference;
   const SessionId ref_id =
       reference.OpenSession(RegisterTestTenant(&reference), kSeed).value();
   const std::vector<StatusCode> ref_prefix =
@@ -168,28 +165,61 @@ void RunKillAndRecover(size_t shards, bool with_soft, const std::string& dir) {
 }
 
 TEST(RecoveryEquivalenceTest, MonolithicHardOnly) {
-  RunKillAndRecover(0, false, "./recovery_eq_k0_hard");
+  RunKillAndRecover(false, "./recovery_eq_k0_hard");
 }
 TEST(RecoveryEquivalenceTest, MonolithicMixed) {
-  RunKillAndRecover(0, true, "./recovery_eq_k0_mixed");
+  RunKillAndRecover(true, "./recovery_eq_k0_mixed");
 }
-TEST(RecoveryEquivalenceTest, OneShardHardOnly) {
-  RunKillAndRecover(1, false, "./recovery_eq_k1_hard");
-}
-TEST(RecoveryEquivalenceTest, OneShardMixed) {
-  RunKillAndRecover(1, true, "./recovery_eq_k1_mixed");
-}
-TEST(RecoveryEquivalenceTest, TwoShardsHardOnly) {
-  RunKillAndRecover(2, false, "./recovery_eq_k2_hard");
-}
-TEST(RecoveryEquivalenceTest, TwoShardsMixed) {
-  RunKillAndRecover(2, true, "./recovery_eq_k2_mixed");
-}
-TEST(RecoveryEquivalenceTest, FourShardsHardOnly) {
-  RunKillAndRecover(4, false, "./recovery_eq_k4_hard");
-}
-TEST(RecoveryEquivalenceTest, FourShardsMixed) {
-  RunKillAndRecover(4, true, "./recovery_eq_k4_mixed");
+
+TEST(RecoveryEquivalenceTest, LegacyShardWordInTheOpenRecordIsIgnored) {
+  // A journal as a four-shard session wrote it: the Open record's trailing
+  // word is 4. Every engine configuration produced bitwise-identical
+  // sessions, so recovery must rebuild exactly the uninterrupted session.
+  const std::string dir = "./recovery_eq_legacy_shards";
+  CleanDir(dir);
+  constexpr uint64_t kSeed = 11;
+  constexpr SessionId kId = 3;
+  const std::vector<Op> ops = PrefixOps(/*with_soft=*/true);
+
+  ReconcileService reference;
+  const TenantId tenant = RegisterTestTenant(&reference);
+  const SessionId ref_id = reference.OpenSession(tenant, kSeed).value();
+  const std::vector<StatusCode> codes = Apply(&reference, ref_id, ops);
+
+  {
+    std::string open;
+    AppendU32(&open, static_cast<uint32_t>(JournalRecordKind::kOpen));
+    AppendU64(&open, kId);
+    AppendU64(&open, tenant);
+    AppendU64(&open, kSeed);
+    AppendU64(&open, /*shards=*/4);
+    StatusOr<RecordWriter> writer =
+        RecordWriter::Open(JournalFilePath(dir, kId), /*truncate=*/true);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(writer->Append(open).ok());
+    uint64_t accepted = 0, soft = 0;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const Op& op = ops[i];
+      const std::string record =
+          op.soft ? EncodeAssertSoftRecord(op.c, op.approved, op.eps, soft)
+                  : EncodeAssertRecord(op.c, op.approved, accepted);
+      ASSERT_TRUE(writer->Append(record).ok());
+      if (codes[i] == StatusCode::kOk) ++(op.soft ? soft : accepted);
+    }
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+
+  ServerOptions options;
+  options.journal_dir = dir;
+  ReconcileService revived(options);
+  RegisterTestTenant(&revived);
+  const StatusOr<RecoveryReport> report = revived.Recover(dir);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->sessions_recovered, 1u);
+  EXPECT_EQ(report->failed_sessions, 0u);
+  EXPECT_EQ(report->revision_mismatches, 0u);
+  ExpectStateEqual(revived.Snapshot(kId).value(),
+                   reference.Snapshot(ref_id).value());
 }
 
 TEST(RecoveryEquivalenceTest, CleanlyClosedSessionsAreNotResurrected) {
@@ -234,7 +264,7 @@ TEST(RecoveryEquivalenceTest, TrailingCloseRecordIsSkippedAndUnlinked) {
   {
     StatusOr<RecordWriter> writer = RecordWriter::Open(path, true);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(EncodeOpenRecord(9, 1, 5, 0)).ok());
+    ASSERT_TRUE(writer->Append(EncodeOpenRecord(9, 1, 5)).ok());
     ASSERT_TRUE(writer->Append(EncodeCloseRecord()).ok());
   }
   ServerOptions options;

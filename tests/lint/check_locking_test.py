@@ -122,11 +122,19 @@ class FixtureFindingsTest(unittest.TestCase):
         self.assertEqual(sorted(f.line for f in findings), [9, 14],
                          "the balanced manual pair must not fire")
 
+    def test_assert_in_thread_fires_only_in_thread_lambdas(self):
+        findings = scan_fixture("locking_assert_in_thread.cc")
+        self.assertEqual(rule_counts(findings), {"assert-in-thread": 3})
+        self.assertEqual(sorted(f.line for f in findings), [12, 17, 19],
+                         "EXPECT_*, non-thread lambdas and the test's own "
+                         "thread must not fire")
+
     def test_findings_carry_rule_ids_known_to_the_cli(self):
         for fixture, rel in (("locking_unranked_mutex.cc", "src/f.cc"),
                              ("locking_raw_sync.cc", None),
                              ("locking_blocking_in_lock.cc", None),
-                             ("locking_unpaired_lock.cc", None)):
+                             ("locking_unpaired_lock.cc", None),
+                             ("locking_assert_in_thread.cc", None)):
             for finding in scan_fixture(fixture, rel=rel):
                 self.assertIn(finding.rule, lint.RULES)
 
@@ -190,6 +198,10 @@ class CliTest(unittest.TestCase):
         result = self.run_linter(os.path.join(REPO_ROOT, "src"))
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("clean", result.stdout)
+
+    def test_tests_tree_has_no_fatal_assertions_in_thread_lambdas(self):
+        result = self.run_linter(os.path.join(REPO_ROOT, "tests"))
+        self.assertNotIn("assert-in-thread", result.stderr)
 
     def test_violating_fixture_fails_with_report(self):
         result = self.run_linter(

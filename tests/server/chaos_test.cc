@@ -128,31 +128,6 @@ TEST_F(ChaosTest, TornAppendRecoversToLastDurableRecord) {
   EXPECT_EQ(replayed.soft_answer_count, durable.soft_answer_count);
 }
 
-TEST_F(ChaosTest, ShardWorkerFaultDegradesTheSessionStickily) {
-  SMN_CHAOS_SKIP();
-  ServerOptions options;
-  options.session_shards = 1;  // One worker: arrival ordinals are exact.
-  ReconcileService service(options);
-  const TenantId tenant = RegisterTestTenant(&service);
-  const SessionId id = service.OpenSession(tenant, 5).value();
-  {
-    ScopedFaultPlan plan("shard.worker@1");
-    ASSERT_TRUE(plan.status().ok());
-    const Status failed = service.Assert(id, 0, true);
-    EXPECT_EQ(failed.code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(failed.message().find("degraded"), std::string::npos);
-  }
-  // Degradation is sticky — the shard's state diverged, so the session
-  // keeps refusing even after the fault plan is gone.
-  EXPECT_EQ(service.Snapshot(id).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.Assert(id, 1, true).code(),
-            StatusCode::kFailedPrecondition);
-  // Other sessions are unaffected (degradation is per-session).
-  const SessionId fresh = service.OpenSession(tenant, 6).value();
-  EXPECT_TRUE(service.Assert(fresh, 0, true).ok());
-}
-
 TEST_F(ChaosTest, QueuePushFaultIsReportedAsAFailedPush) {
   SMN_CHAOS_SKIP();
   BoundedQueue<int> queue(2);

@@ -99,20 +99,24 @@ TEST(ReconcileServiceTest, SnapshotIsConsistentUnderConcurrentWrites) {
   for (size_t r = 0; r < 2; ++r) {
     threads.emplace_back([&service, &ids, n] {
       for (SessionId id : ids) {
+        // Non-fatal checks only: a reader that returned early would skip
+        // its remaining snapshots instead of reporting them.
         for (int k = 0; k < 4; ++k) {
           const auto snapshot = service.Snapshot(id);
-          ASSERT_TRUE(snapshot.ok());
+          EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+          if (!snapshot.ok()) continue;
           const SessionSnapshot& s = snapshot.value();
           // Consistency: revision and marginals are copied in one critical
           // section, so an integrated assertion is always visible as its
           // pinned marginal in the same snapshot — never half of either.
-          ASSERT_LE(s.revision, 2u);
-          ASSERT_EQ(s.probabilities.size(), n);
+          EXPECT_LE(s.revision, 2u);
+          EXPECT_EQ(s.probabilities.size(), n);
+          if (s.probabilities.size() != n) continue;
           if (s.revision >= 1) {
-            ASSERT_DOUBLE_EQ(s.probabilities[0], 1.0);
+            EXPECT_DOUBLE_EQ(s.probabilities[0], 1.0);
           }
           if (s.revision >= 2) {
-            ASSERT_DOUBLE_EQ(s.probabilities[1], 0.0);
+            EXPECT_DOUBLE_EQ(s.probabilities[1], 0.0);
           }
         }
       }

@@ -46,16 +46,28 @@ class SessionJournalTest : public ::testing::Test {
   }
 };
 
+/// An Open record as older journals wrote it, with a shard count in the
+/// trailing word that the encoder now always writes as 0.
+std::string LegacyOpenRecord(uint64_t session_id, uint64_t tenant_id,
+                             uint64_t seed, uint64_t shards) {
+  std::string payload;
+  AppendU32(&payload, static_cast<uint32_t>(JournalRecordKind::kOpen));
+  AppendU64(&payload, session_id);
+  AppendU64(&payload, tenant_id);
+  AppendU64(&payload, seed);
+  AppendU64(&payload, shards);
+  return payload;
+}
+
 TEST_F(SessionJournalTest, RecordsRoundtripThroughEncodeDecode) {
   {
     const StatusOr<JournalRecord> open =
-        DecodeJournalRecord(EncodeOpenRecord(42, 7, 0xFEEDull, 4));
+        DecodeJournalRecord(EncodeOpenRecord(42, 7, 0xFEEDull));
     ASSERT_TRUE(open.ok());
     EXPECT_EQ(open->kind, JournalRecordKind::kOpen);
     EXPECT_EQ(open->session_id, 42u);
     EXPECT_EQ(open->tenant_id, 7u);
     EXPECT_EQ(open->seed, 0xFEEDull);
-    EXPECT_EQ(open->shards, 4u);
   }
   {
     const StatusOr<JournalRecord> assert_record =
@@ -84,6 +96,21 @@ TEST_F(SessionJournalTest, RecordsRoundtripThroughEncodeDecode) {
   }
 }
 
+TEST_F(SessionJournalTest, OpenRecordKeepsItsLayoutWithAZeroReservedWord) {
+  // The byte layout is unchanged: the encoder writes what an older journal
+  // wrote for a monolithic session, and a nonzero legacy word decodes to the
+  // same record.
+  EXPECT_EQ(EncodeOpenRecord(42, 7, 0xFEEDull),
+            LegacyOpenRecord(42, 7, 0xFEEDull, 0));
+  const StatusOr<JournalRecord> legacy =
+      DecodeJournalRecord(LegacyOpenRecord(42, 7, 0xFEEDull, 4));
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  EXPECT_EQ(legacy->kind, JournalRecordKind::kOpen);
+  EXPECT_EQ(legacy->session_id, 42u);
+  EXPECT_EQ(legacy->tenant_id, 7u);
+  EXPECT_EQ(legacy->seed, 0xFEEDull);
+}
+
 TEST_F(SessionJournalTest, DecodeRejectsGarbageAsDataLoss) {
   EXPECT_EQ(DecodeJournalRecord("").status().code(), StatusCode::kDataLoss);
   // Unknown kind.
@@ -92,7 +119,7 @@ TEST_F(SessionJournalTest, DecodeRejectsGarbageAsDataLoss) {
   EXPECT_EQ(DecodeJournalRecord(unknown).status().code(),
             StatusCode::kDataLoss);
   // Truncated body.
-  std::string open = EncodeOpenRecord(1, 1, 1, 0);
+  std::string open = EncodeOpenRecord(1, 1, 1);
   open.resize(open.size() - 3);
   EXPECT_EQ(DecodeJournalRecord(open).status().code(), StatusCode::kDataLoss);
   // Trailing bytes after a valid body.
@@ -109,7 +136,7 @@ TEST_F(SessionJournalTest, FilePathIsZeroPaddedForSortedListings) {
 
 TEST_F(SessionJournalTest, CreateWritesADurableOpenRecord) {
   StatusOr<std::unique_ptr<SessionLog>> log =
-      SessionLog::Create(Options(), 3, 7, 123, 2);
+      SessionLog::Create(Options(), 3, 7, 123);
   ASSERT_TRUE(log.ok()) << log.status();
   const std::vector<JournalRecord> records = ReadRecords(3);
   ASSERT_EQ(records.size(), 1u);
@@ -117,17 +144,21 @@ TEST_F(SessionJournalTest, CreateWritesADurableOpenRecord) {
   EXPECT_EQ(records[0].session_id, 3u);
   EXPECT_EQ(records[0].tenant_id, 7u);
   EXPECT_EQ(records[0].seed, 123u);
-  EXPECT_EQ(records[0].shards, 2u);
+  const StatusOr<std::string> bytes = ReadFileBytes(JournalFilePath(Dir(), 3));
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  const RecordParse parse = ParseRecords(bytes.value());
+  ASSERT_EQ(parse.payloads.size(), 1u);
+  EXPECT_EQ(parse.payloads[0], LegacyOpenRecord(3, 7, 123, 0));
 }
 
 TEST_F(SessionJournalTest, CreateRequiresADirectory) {
-  EXPECT_EQ(SessionLog::Create(JournalOptions{}, 1, 1, 1, 0).status().code(),
+  EXPECT_EQ(SessionLog::Create(JournalOptions{}, 1, 1, 1).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(SessionJournalTest, AssertsAppendInOrder) {
   StatusOr<std::unique_ptr<SessionLog>> log =
-      SessionLog::Create(Options(/*fsync_every=*/1), 1, 1, 9, 0);
+      SessionLog::Create(Options(/*fsync_every=*/1), 1, 1, 9);
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE((*log)->LogAssert(10, true, 0).ok());
   ASSERT_TRUE((*log)->LogAssertSoft(11, false, 0.25, 0).ok());
@@ -144,7 +175,7 @@ TEST_F(SessionJournalTest, AssertsAppendInOrder) {
 
 TEST_F(SessionJournalTest, CloseAppendsCloseRecordAndUnlinks) {
   StatusOr<std::unique_ptr<SessionLog>> log =
-      SessionLog::Create(Options(), 5, 1, 9, 0);
+      SessionLog::Create(Options(), 5, 1, 9);
   ASSERT_TRUE(log.ok());
   const std::string path = (*log)->path();
   ASSERT_TRUE((*log)->LogClose().ok());
@@ -158,7 +189,7 @@ TEST_F(SessionJournalTest, CloseAppendsCloseRecordAndUnlinks) {
 TEST_F(SessionJournalTest, DestructionWithoutCloseLeavesTheFile) {
   // A destroyed-but-not-closed log is the crash signature: the file (and
   // its records) must survive for recovery.
-  { ASSERT_TRUE(SessionLog::Create(Options(), 6, 1, 9, 0).ok()); }
+  { ASSERT_TRUE(SessionLog::Create(Options(), 6, 1, 9).ok()); }
   const std::vector<JournalRecord> records = ReadRecords(6);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].kind, JournalRecordKind::kOpen);
@@ -167,7 +198,7 @@ TEST_F(SessionJournalTest, DestructionWithoutCloseLeavesTheFile) {
 TEST_F(SessionJournalTest, ReattachAppendsAfterExistingRecords) {
   {
     StatusOr<std::unique_ptr<SessionLog>> log =
-        SessionLog::Create(Options(), 2, 1, 9, 0);
+        SessionLog::Create(Options(), 2, 1, 9);
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE((*log)->LogAssert(10, true, 0).ok());
   }  // Crash: no LogClose.
@@ -185,9 +216,9 @@ TEST_F(SessionJournalTest, ReattachAppendsAfterExistingRecords) {
 }
 
 TEST_F(SessionJournalTest, ListJournalSessionsFiltersAndSorts) {
-  ASSERT_TRUE(SessionLog::Create(Options(), 12, 1, 0, 0).ok());
-  ASSERT_TRUE(SessionLog::Create(Options(), 3, 1, 0, 0).ok());
-  ASSERT_TRUE(SessionLog::Create(Options(), 100, 1, 0, 0).ok());
+  ASSERT_TRUE(SessionLog::Create(Options(), 12, 1, 0).ok());
+  ASSERT_TRUE(SessionLog::Create(Options(), 3, 1, 0).ok());
+  ASSERT_TRUE(SessionLog::Create(Options(), 100, 1, 0).ok());
   // Noise the scan must ignore.
   {
     StatusOr<RecordWriter> noise =

@@ -210,7 +210,7 @@ TEST(SessionManagerTest, PrePublishHookRunsBeforeVisibility) {
   const auto artifact = MakeArtifact();
   SessionId seen = 0;
   auto session = manager.Create(
-      artifact, ProbabilisticNetworkOptions{}, 1, /*shards=*/0,
+      artifact, ProbabilisticNetworkOptions{}, 1,
       [&seen](Session& s) {
         seen = s.id();
         return Status::OK();
@@ -224,7 +224,7 @@ TEST(SessionManagerTest, PrePublishFailureAbortsTheCreate) {
   SessionManager manager;
   const auto artifact = MakeArtifact();
   auto session = manager.Create(
-      artifact, ProbabilisticNetworkOptions{}, 1, /*shards=*/0,
+      artifact, ProbabilisticNetworkOptions{}, 1,
       [](Session&) { return Status::Internal("journal unavailable"); });
   EXPECT_EQ(session.status().code(), StatusCode::kInternal);
   // The failed session was never published.
