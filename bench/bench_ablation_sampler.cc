@@ -2,10 +2,10 @@
 //   (1) simulated-annealing acceptance (1 - e^-Δ) vs always-accept walks,
 //   (2) maximalization of emitted samples (Definition-1 fidelity),
 //   (3) cycle-closing repair vs the literal removal-only Algorithm 4.
-// Quality is measured as KLratio against exhaustive enumeration on small
-// networks (as in Fig. 7) plus the share of the exact instance support the
-// sampler actually visits — the coverage metric that exposes the
-// removal-only repair's blind spot for closed triangles.
+// Quality is measured as KLratio against the engine's member-exact
+// enumeration on small networks (as in Fig. 7) plus the share of the exact
+// instance support the sampler actually visits — the coverage metric that
+// exposes the removal-only repair's blind spot for closed triangles.
 
 #include <iostream>
 #include <unordered_set>
@@ -13,7 +13,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/synthetic_networks.h"
-#include "core/exact_enumerator.h"
 #include "core/sampler.h"
 #include "core/walk_scratch.h"
 #include "sim/metrics.h"
@@ -65,11 +64,10 @@ int Run() {
       bench::SyntheticNetwork synthetic =
           bench::BuildTinyNetwork(candidates, seed);
       Feedback feedback(candidates);
-      ExactEnumerator enumerator(synthetic.network, synthetic.constraints);
-      const auto exact = enumerator.Enumerate(feedback);
-      if (!exact.ok() || exact->instances.empty()) continue;
+      const auto exact = bench::BuildExactNetwork(synthetic);
+      if (!exact.ok() || exact->samples().empty()) continue;
       std::unordered_set<DynamicBitset, DynamicBitsetHash> support(
-          exact->instances.begin(), exact->instances.end());
+          exact->samples().begin(), exact->samples().end());
 
       Sampler sampler(synthetic.network, synthetic.constraints,
                       variant.options);
@@ -89,7 +87,7 @@ int Run() {
       }
       for (double& count : counts) count /= static_cast<double>(out.size());
 
-      ratio_sum += KlRatio(exact->probabilities, counts);
+      ratio_sum += KlRatio(exact->probabilities(), counts);
       coverage_sum += 100.0 * static_cast<double>(visited.size()) /
                       static_cast<double>(support.size());
       size_sum += size / static_cast<double>(out.size());

@@ -1,17 +1,17 @@
 // Reproduces Fig. 7 of the paper: sampling effectiveness measured as the
 // normalized K-L divergence KLratio = D(P||Q) / D(P||U), where P is the
-// exact instance distribution (exhaustive enumeration), Q the sampled
-// distribution with 2^(|C|/2) samples, and U the max-entropy baseline
-// (u_c = 0.5). |C| ranges over 10..20; the paper reports KLratio below ~2%.
+// exact instance distribution (the engine's member-exact enumeration), Q
+// the sampled distribution with 2^(|C|/2) samples, and U the max-entropy
+// baseline (u_c = 0.5). |C| ranges over 10..20; the paper reports KLratio
+// below ~2%.
 
-#include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/synthetic_networks.h"
-#include "core/exact_enumerator.h"
 #include "core/feedback.h"
-#include "core/sample_store.h"
+#include "core/parallel_sampler.h"
 #include "sim/metrics.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -19,6 +19,22 @@
 
 namespace smn {
 namespace {
+
+/// Equation 2 over a sample multiset: the fraction of samples holding each
+/// correspondence.
+std::vector<double> SampleMarginals(const std::vector<DynamicBitset>& samples,
+                                    size_t correspondence_count) {
+  std::vector<size_t> counts(correspondence_count, 0);
+  for (const DynamicBitset& sample : samples) {
+    sample.ForEachSetBit([&](size_t c) { ++counts[c]; });
+  }
+  std::vector<double> probabilities(correspondence_count, 0.0);
+  const double denom = static_cast<double>(samples.size());
+  for (size_t c = 0; c < correspondence_count; ++c) {
+    probabilities[c] = static_cast<double>(counts[c]) / denom;
+  }
+  return probabilities;
+}
 
 int Run() {
   bench::BenchReporter reporter("fig7_kl_divergence");
@@ -35,33 +51,35 @@ int Run() {
     for (uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
       bench::SyntheticNetwork synthetic =
           bench::BuildTinyNetwork(candidates, seed);
-      Feedback feedback(candidates);
-      ExactEnumerator enumerator(synthetic.network, synthetic.constraints);
-      const auto exact = enumerator.Enumerate(feedback);
+      const auto exact = bench::BuildExactNetwork(synthetic);
       if (!exact.ok()) return 1;
-      if (exact->instances.empty()) continue;
+      const size_t instances = exact->samples().size();
+      if (instances == 0) continue;
 
       // Two sampling budgets: the paper's 2^(|C|/2) (tiny at small |C|) and
-      // a fixed 4096 to show the estimate converging toward exact.
+      // a fixed 4096 to show the estimate converging toward exact. One plain
+      // multi-chain round per budget: no exhaustion shortcut, no exact path.
+      const Feedback feedback(candidates);
+      ParallelSamplerOptions options;
+      // Longer walks decorrelate the chain on these tiny, cycle-heavy
+      // networks (see EXPERIMENTS.md for the fidelity discussion).
+      options.sampler.walk_steps = 16;
+      const ParallelSampler sampler(synthetic.network, synthetic.constraints,
+                                    options);
       double ratios[2] = {0.0, 0.0};
       const size_t budgets[2] = {paper_samples, 4096};
       for (int b = 0; b < 2; ++b) {
-        SampleStoreOptions options;
-        options.target_samples = budgets[b];
-        options.min_samples = 1;   // Fidelity: no exhaustion shortcut here.
-        options.exact_threshold = 0;  // Pure sampling; exact is the oracle.
-        // Longer walks decorrelate the chain on these tiny, cycle-heavy
-        // networks (see EXPERIMENTS.md for the fidelity discussion).
-        options.sampling.sampler.walk_steps = 16;
-        SampleStore store(synthetic.network, synthetic.constraints, options);
         Rng rng(seed * 31 + candidates);
-        if (!store.Initialize(feedback, &rng).ok()) return 1;
-        ratios[b] =
-            KlRatio(exact->probabilities, store.ComputeProbabilities());
+        std::vector<DynamicBitset> samples;
+        if (!sampler.SampleMerged(feedback, budgets[b], &rng, &samples).ok()) {
+          return 1;
+        }
+        ratios[b] = KlRatio(exact->probabilities(),
+                            SampleMarginals(samples, candidates));
       }
       ratio_sum += ratios[0];
       ratio4k_sum += ratios[1];
-      instances_sum += static_cast<double>(exact->instances.size());
+      instances_sum += static_cast<double>(instances);
       ++settings;
     }
     if (settings == 0) continue;

@@ -9,8 +9,10 @@
 #include "constraints/one_to_one.h"
 #include "core/constraint_set.h"
 #include "core/network.h"
+#include "core/probabilistic_network.h"
 #include "datasets/random_graph.h"
 #include "util/rng.h"
+#include "util/statusor.h"
 
 namespace smn {
 namespace bench {
@@ -108,6 +110,29 @@ inline SyntheticNetwork BuildTinyNetwork(size_t candidates, uint64_t seed,
   constraints.Add(std::make_unique<CycleConstraint>());
   constraints.Compile(network).ok();
   return SyntheticNetwork{std::move(network), std::move(constraints)};
+}
+
+/// Exact ground truth for a small network, through the engine's member-exact
+/// path: every component has at most |C| members and is enumerated, and the
+/// view cap admits a cross-product of up to 2^20 instances, so samples() is
+/// the complete instance space Ω (each instance once) and probabilities()
+/// are the exact Equation 1 marginals. Fails with FailedPrecondition when Ω
+/// is larger. `synthetic` must outlive the result.
+inline StatusOr<ProbabilisticNetwork> BuildExactNetwork(
+    const SyntheticNetwork& synthetic) {
+  ProbabilisticNetworkOptions options;
+  options.store.exact_threshold = synthetic.network.correspondence_count();
+  options.sample_view_cap = size_t{1} << 20;
+  Rng rng(0);  // Split once by Create; enumeration draws nothing from it.
+  SMN_ASSIGN_OR_RETURN(
+      ProbabilisticNetwork exact,
+      ProbabilisticNetwork::Create(synthetic.network, synthetic.constraints,
+                                   options, &rng));
+  if (!exact.exhausted()) {
+    return Status::FailedPrecondition(
+        "BuildExactNetwork: instance space exceeds the view cap");
+  }
+  return exact;
 }
 
 /// Multi-component network for the incremental-reconciliation bench:

@@ -23,7 +23,7 @@ namespace smn {
 /// one artifact instead of N private copies of the coupling groups and N
 /// recomputations of the initial closure/partition. Per-session *mutable*
 /// state — the feedback and soft-evidence ledgers, the per-component
-/// SampleStore caches, the gains caches — stays inside each
+/// sample caches, the gains caches — stays inside each
 /// ProbabilisticNetwork.
 ///
 /// Thread safety: deeply immutable after Build/TakeOwnership; safe to share

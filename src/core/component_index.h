@@ -190,8 +190,8 @@ class ComponentIndex {
 /// sampling bit-identical while the per-component cost drops from O(global
 /// network) to O(component).
 struct ComponentSubproblem {
-  /// The projected network. Heap-allocated so the address stays stable for
-  /// the components that hold references to it (SampleStore).
+  /// The projected network. Heap-allocated so its address stays stable when
+  /// the subproblem moves into its cache (samplers hold references to it).
   std::unique_ptr<Network> network;
   /// The original constraint kinds compiled against `network`.
   std::unique_ptr<ConstraintSet> constraints;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <iterator>
 #include <limits>
+#include <unordered_set>
 #include <utility>
 
 #include "core/entropy.h"
@@ -29,6 +29,68 @@ void OrGlobalized(const DynamicBitset& local_sample,
                   DynamicBitset* global) {
   local_sample.ForEachSetBit(
       [&](size_t local) { global->Set(local_to_global[local]); });
+}
+
+/// A sampled component's Ω*_K, whether it provably is all of Ω_K, and the
+/// diagnostics of the last sampling round.
+struct SampledFill {
+  std::vector<DynamicBitset> samples;
+  bool exhausted = false;
+  ChainDiagnostics diagnostics;
+};
+
+/// Number of distinct instances in `samples`.
+size_t DistinctCount(const std::vector<DynamicBitset>& samples) {
+  std::unordered_set<DynamicBitset, DynamicBitsetHash> seen;
+  for (const DynamicBitset& sample : samples) seen.insert(sample);
+  return seen.size();
+}
+
+/// Drops duplicate instances in place, keeping first occurrences in order.
+void Deduplicate(std::vector<DynamicBitset>* samples) {
+  std::unordered_set<DynamicBitset, DynamicBitsetHash> seen;
+  std::vector<DynamicBitset> unique;
+  for (DynamicBitset& sample : *samples) {
+    if (seen.insert(sample).second) unique.push_back(std::move(sample));
+  }
+  *samples = std::move(unique);
+}
+
+/// Fills a component's Ω*_K by sampling its subproblem up to
+/// target_samples. Two consecutive rounds that cannot produce n_min distinct
+/// instances imply the instance space itself is smaller than n_min (Section
+/// III-B); Ω*_K is then deduplicated and declared complete. Each round
+/// advances `*rng` exactly once (one SampleChains call).
+StatusOr<SampledFill> SampleComponent(const ComponentSubproblem& sub,
+                                      const SampleStoreOptions& options,
+                                      Rng* rng) {
+  const ParallelSampler sampler(*sub.network, *sub.constraints,
+                                options.sampling);
+  SampledFill fill;
+  for (int round = 0; round < 2; ++round) {
+    const size_t missing = options.target_samples > fill.samples.size()
+                               ? options.target_samples - fill.samples.size()
+                               : 0;
+    if (missing == 0) break;
+    SMN_ASSIGN_OR_RETURN(std::vector<std::vector<DynamicBitset>> chains,
+                         sampler.SampleChains(sub.feedback, missing, rng));
+    fill.diagnostics =
+        ComputeChainDiagnostics(chains, sub.network->correspondence_count());
+    // Chain-major merge keeps the sample order a pure function of the
+    // seed, independent of worker-thread scheduling.
+    for (std::vector<DynamicBitset>& chain : chains) {
+      for (DynamicBitset& sample : chain) {
+        fill.samples.push_back(std::move(sample));
+      }
+    }
+    if (DistinctCount(fill.samples) >= options.min_samples) return fill;
+    // Keep only the distinct instances before the second attempt so the
+    // next round measures fresh discovery.
+    Deduplicate(&fill.samples);
+  }
+  fill.exhausted = true;
+  Deduplicate(&fill.samples);
+  return fill;
 }
 
 }  // namespace
@@ -134,9 +196,9 @@ ProbabilisticNetwork::BuildCache(
   if (exact_threshold > 0 && member_count <= exact_threshold &&
       member_count <= 63) {
     // Member-exact path: enumerate the 2^|K| member subsets on top of the
-    // approved boundary. Equivalent to ExactEnumerator but exponential only
-    // in the member count, not in the boundary size. Consumes no randomness,
-    // so exact components are bit-stable across modes by construction.
+    // approved boundary — exponential only in the member count, not in the
+    // boundary size. Consumes no randomness, so exact components are
+    // bit-stable across modes by construction.
     const size_t local_n = sub.local_to_global.size();
     DynamicBitset base(local_n);
     sub.feedback.approved().ForEachSetBit([&](size_t c) { base.Set(c); });
@@ -156,17 +218,12 @@ ProbabilisticNetwork::BuildCache(
     cache->diagnostics = ChainDiagnostics{};
     cache->diagnostics.exact = true;
   } else {
-    // Sampling path: the member-exact path above subsumes the store's own
-    // exact-enumeration shortcut (which keys on the total candidate count,
-    // boundary included), so disable it and sample.
-    SampleStoreOptions store_options = options_.store;
-    store_options.exact_threshold = 0;
-    SampleStore store(*sub.network, *sub.constraints, store_options);
     Rng stream = base_.Fork(StreamId(component.anchor, built_at));
-    SMN_RETURN_IF_ERROR(store.Initialize(sub.feedback, &stream));
-    cache->samples = store.TakeSamples();
-    cache->exhausted = store.exhausted();
-    cache->diagnostics = store.chain_diagnostics();
+    SMN_ASSIGN_OR_RETURN(SampledFill fill,
+                         SampleComponent(sub, options_.store, &stream));
+    cache->samples = std::move(fill.samples);
+    cache->exhausted = fill.exhausted;
+    cache->diagnostics = std::move(fill.diagnostics);
   }
 
   // Member marginals and the component's entropy contribution.
@@ -199,44 +256,19 @@ void ProbabilisticNetwork::ApplyEvidence(
   }
   if (!any_member_evidence) return;
 
-  // Member-restricted importance weights, accumulated directly over the
-  // component's members — an AssertSoft happens once per elicited answer,
-  // and scanning the whole network's evidence ledger (or allocating a
-  // full-|C| mask) per answer would scale with network size instead of
-  // component size. Restriction to members is exact: evidence on any other
-  // correspondence contributes the same constant factor to every sample of
-  // this component and cancels under the max-shift.
-  const size_t m = cache->samples.size();
+  // Member-restricted importance weights: an AssertSoft happens once per
+  // elicited answer, so the work must scale with the component, not with
+  // the network's evidence ledger.
   const std::vector<CorrespondenceId>& member_local =
       cache->subproblem.member_local_ids;
-  std::vector<double> log_weights(m, 0.0);
-  for (size_t j = 0; j < component.members.size(); ++j) {
-    const CorrespondenceId member = component.members[j];
-    if (!soft_evidence_.HasEvidence(member) ||
-        soft_evidence_.Contradictory(member)) {
-      continue;
-    }
-    const double log_in = soft_evidence_.LogLikelihoodIn(member);
-    const double log_out = soft_evidence_.LogLikelihoodOut(member);
-    for (size_t i = 0; i < m; ++i) {
-      log_weights[i] += cache->samples[i].Test(member_local[j]) ? log_in
-                                                                : log_out;
-    }
-  }
-  double max_log = -std::numeric_limits<double>::infinity();
-  for (double lw : log_weights) max_log = std::max(max_log, lw);
+  cache->weights = ComputeImportanceWeights(soft_evidence_, cache->samples,
+                                            component.members, member_local);
   {
     MutexLock lock(cache->gains_mu_);
     cache->gains_valid = false;
   }
   double total = 0.0;
-  if (max_log != -std::numeric_limits<double>::infinity()) {
-    cache->weights.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      cache->weights[i] = std::exp(log_weights[i] - max_log);
-      total += cache->weights[i];
-    }
-  }
+  for (double w : cache->weights) total += w;
   // Zero likelihood on every sample (contradiction-free evidence on one
   // correspondence cannot do this; conflicting hard answers across coupled
   // members can): fall back to the unweighted marginals rather than divide

@@ -4,12 +4,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/chain_diagnostics.h"
 #include "core/compiled_artifact.h"
 #include "core/component_index.h"
 #include "core/constraint_set.h"
 #include "core/feedback.h"
 #include "core/network.h"
-#include "core/sample_store.h"
+#include "core/parallel_sampler.h"
 #include "core/soft_feedback.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -17,6 +18,24 @@
 #include "util/thread_annotations.h"
 
 namespace smn {
+
+/// Tuning knobs for one component's maintained sample set Ω*_K.
+struct SampleStoreOptions {
+  /// Number of samples a sampled component tries to keep (|Ω*_K|).
+  size_t target_samples = 1000;
+  /// The paper's tolerance threshold n_min: when two consecutive sampling
+  /// rounds cannot produce this many distinct instances, the instance space
+  /// is smaller than n_min and Ω*_K is declared exhausted (Section III-B).
+  size_t min_samples = 200;
+  /// Components with at most this many *members* are enumerated
+  /// exhaustively instead of sampled: Ω*_K then provably equals Ω_K. The
+  /// enumeration is capped at 63 members; larger components are sampled
+  /// whatever this says. Set to 0 to force sampling everywhere.
+  size_t exact_threshold = 16;
+  /// Multi-chain sampling engine configuration: chain count, worker threads,
+  /// burn-in, and the per-chain walk knobs (`sampling.sampler`).
+  ParallelSamplerOptions sampling;
+};
 
 /// Tuning knobs for the probabilistic matching network.
 struct ProbabilisticNetworkOptions {

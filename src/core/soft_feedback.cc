@@ -103,19 +103,21 @@ double SoftEvidence::Posterior(CorrespondenceId c, double prior) const {
 
 std::vector<double> ComputeImportanceWeights(
     const SoftEvidence& evidence, const std::vector<DynamicBitset>& samples,
-    const DynamicBitset* restrict_to) {
+    const std::vector<CorrespondenceId>& members,
+    const std::vector<CorrespondenceId>& member_bits) {
   const size_t m = samples.size();
   if (m == 0) return {};
   std::vector<double> log_weights(m, 0.0);
-  evidence.evidenced().ForEachSetBit([&](size_t c) {
-    if (restrict_to != nullptr && !restrict_to->Test(c)) return;
-    if (evidence.Contradictory(c)) return;  // Uninformative; skip.
+  for (size_t j = 0; j < members.size(); ++j) {
+    const CorrespondenceId c = members[j];
+    // No answers, or contradictory (uninformative) ones: skip.
+    if (!evidence.HasEvidence(c) || evidence.Contradictory(c)) continue;
     const double log_in = evidence.LogLikelihoodIn(c);
     const double log_out = evidence.LogLikelihoodOut(c);
     for (size_t i = 0; i < m; ++i) {
-      log_weights[i] += samples[i].Test(c) ? log_in : log_out;
+      log_weights[i] += samples[i].Test(member_bits[j]) ? log_in : log_out;
     }
-  });
+  }
   // The max-shift must come from a finite log-weight: a +inf or NaN entry
   // (a caller-supplied degenerate likelihood) would otherwise poison the
   // shift and turn every weight into NaN. Non-finite entries themselves map

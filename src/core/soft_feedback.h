@@ -106,21 +106,25 @@ class SoftEvidence {
   size_t total_answers_ = 0;
 };
 
-/// Unnormalized importance weights of `samples` under `evidence`:
-///   w(I) ∝ Π_c P(answers on c | 1[c ∈ I]),
+/// Unnormalized importance weights of `samples` under the evidence on
+/// `members`:
+///   w(I) ∝ Π_{c ∈ members} P(answers on c | 1[c ∈ I]),
 /// max-shifted so the largest weight is exactly 1.0 (numerically stable for
-/// long answer histories). When `restrict_to` is non-null, only evidence on
-/// correspondences in that set participates — the per-component engine
-/// passes the component member set, which is exact because evidence on any
-/// other correspondence contributes the same constant factor to every sample
-/// of the component and cancels under normalization. Contradictory hard
-/// evidence is skipped (uninformative). Returns an empty vector when
-/// `samples` is empty or when the evidence assigns zero likelihood to every
+/// long answer histories). `members` are correspondence ids into
+/// `evidence`, and member j is bit `member_bits[j]` of every sample, so the
+/// samples may live in a component's local coordinates. Restricting to a
+/// component's members is exact: evidence on any other correspondence
+/// contributes the same constant factor to every sample of the component
+/// and cancels under normalization. Members are visited in the given order,
+/// which fixes the summation order, and contradictory hard evidence is
+/// skipped (uninformative). Returns an empty vector when `samples` is empty
+/// or when the evidence assigns zero (or non-finite) likelihood to every
 /// sample (the caller should then fall back to unweighted estimates rather
 /// than divide by zero).
 std::vector<double> ComputeImportanceWeights(
     const SoftEvidence& evidence, const std::vector<DynamicBitset>& samples,
-    const DynamicBitset* restrict_to = nullptr);
+    const std::vector<CorrespondenceId>& members,
+    const std::vector<CorrespondenceId>& member_bits);
 
 /// Kish effective sample size (Σw)² / Σw² of an importance-weight vector —
 /// scale-invariant, equal to the sample count for uniform weights and

@@ -1,11 +1,14 @@
 #include "core/probabilistic_network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/entropy.h"
+#include "core/matching_instance.h"
+#include "tests/testing/exact_enumerator.h"
 #include "tests/testing/test_networks.h"
 
 namespace smn {
@@ -367,6 +370,133 @@ TEST_F(ProbabilisticNetworkTest, SessionsShareOneArtifactButNotState) {
   EXPECT_DOUBLE_EQ(a.probability(fig1_.c1), 0.0);
   EXPECT_DOUBLE_EQ(b.probability(fig1_.c1), 0.6);
   EXPECT_EQ(b.assertion_count(), 0u);
+}
+
+// The sampling path with the member-exact path switched off: what the
+// engine does for every component larger than exact_threshold.
+ProbabilisticNetworkOptions SampledOptions() {
+  ProbabilisticNetworkOptions options = SmallOptions();
+  options.store.exact_threshold = 0;
+  return options;
+}
+
+TEST_F(ProbabilisticNetworkTest, SampledFig1IsExhaustedByTheTwoRoundRule) {
+  // Fig. 1 has only 5 matching instances — far fewer than n_min = 20 — so
+  // two sampling rounds cannot produce 20 distinct instances, and the
+  // component is declared exhausted (Section III-B). The rule is a
+  // heuristic: the add-and-repair walk never holds the narrow-basin
+  // singleton {c1}, so Ω* is the other four instances. This gap is why
+  // small components are enumerated by default (exact_threshold).
+  ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(fig1_.network, fig1_.constraints,
+                                   SampledOptions(), &rng_)
+          .value();
+  ASSERT_EQ(pmn.component_count(), 1u);
+  EXPECT_TRUE(pmn.ComponentExhausted(0));
+  EXPECT_TRUE(pmn.exhausted());
+  EXPECT_FALSE(pmn.chain_diagnostics().exact);  // Sampled, not enumerated.
+  const std::vector<DynamicBitset>& samples = pmn.samples();
+  ASSERT_EQ(samples.size(), 4u);
+  const std::vector<DynamicBitset> omega =
+      ExactEnumerator(fig1_.network, fig1_.constraints)
+          .Enumerate(Feedback(fig1_.network.correspondence_count()))
+          .value()
+          .instances;
+  DynamicBitset just_c1(fig1_.network.correspondence_count());
+  just_c1.Set(fig1_.c1);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_NE(std::find(omega.begin(), omega.end(), samples[i]), omega.end());
+    EXPECT_FALSE(samples[i] == just_c1);
+    for (size_t j = 0; j < i; ++j) EXPECT_FALSE(samples[i] == samples[j]);
+  }
+  // Equation 2 over the four distinct instances.
+  for (CorrespondenceId c :
+       {fig1_.c1, fig1_.c2, fig1_.c3, fig1_.c4, fig1_.c5}) {
+    EXPECT_DOUBLE_EQ(pmn.probability(c), 0.5);
+  }
+}
+
+TEST_F(ProbabilisticNetworkTest, SampledComponentsKeepTheTargetSampleCount) {
+  const testing::RandomNetwork random =
+      testing::MakeRandomNetwork({4, 4, 0.5, 77});
+  ProbabilisticNetworkOptions options = SampledOptions();
+  options.store.target_samples = 60;
+  options.store.min_samples = 5;
+  ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(random.network, random.constraints,
+                                   options, &rng_)
+          .value();
+  size_t sampled = 0;
+  for (size_t i = 0; i < pmn.component_count(); ++i) {
+    if (pmn.ComponentExhausted(i)) continue;
+    ++sampled;
+    EXPECT_EQ(pmn.ComponentEffectiveSampleSize(i), 60.0) << "component " << i;
+  }
+  ASSERT_GT(sampled, 0u);
+  ASSERT_FALSE(pmn.exhausted());
+  EXPECT_EQ(pmn.samples().size(), 60u);
+  const Feedback feedback(random.network.correspondence_count());
+  for (const DynamicBitset& sample : pmn.samples()) {
+    EXPECT_TRUE(IsMatchingInstance(random.constraints, feedback, sample));
+  }
+}
+
+TEST_F(ProbabilisticNetworkTest, EmptyNetworkIsTriviallyExhausted) {
+  NetworkBuilder builder;
+  builder.AddSchema("A");
+  builder.AddSchema("B");
+  builder.AddCompleteGraph();
+  const Network network = builder.Build().value();
+  const ConstraintSet constraints = testing::MakeStandardConstraints(network);
+  ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(network, constraints, SmallOptions(), &rng_)
+          .value();
+  EXPECT_EQ(pmn.component_count(), 0u);
+  EXPECT_TRUE(pmn.probabilities().empty());
+  EXPECT_EQ(pmn.Uncertainty(), 0.0);
+  EXPECT_TRUE(pmn.UncertainCorrespondences().empty());
+  EXPECT_TRUE(pmn.InformationGains().empty());
+  EXPECT_TRUE(pmn.exhausted());
+  // Ω holds exactly one instance: the empty selection.
+  ASSERT_EQ(pmn.samples().size(), 1u);
+  EXPECT_EQ(pmn.samples()[0].size(), 0u);
+  EXPECT_TRUE(pmn.chain_diagnostics().exact);
+  EXPECT_EQ(pmn.Assert(0, true, &rng_).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(pmn.assertion_count(), 0u);
+}
+
+TEST_F(ProbabilisticNetworkTest, ComponentsBeyondSixtyThreeMembersAreSampled) {
+  // The member-exact path is capped at 63 members whatever exact_threshold
+  // says: a larger component takes the sampling path, bit for bit as if
+  // enumeration were switched off.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const testing::RandomNetwork random =
+        testing::MakeRandomNetwork({4, 6, 0.9, seed});
+    ProbabilisticNetworkOptions capped = SmallOptions();
+    capped.store.exact_threshold = 64;
+    Rng rng_capped(seed);
+    Rng rng_sampled(seed);
+    ProbabilisticNetwork pmn =
+        ProbabilisticNetwork::Create(random.network, random.constraints,
+                                     capped, &rng_capped)
+            .value();
+    ProbabilisticNetwork sampled =
+        ProbabilisticNetwork::Create(random.network, random.constraints,
+                                     SampledOptions(), &rng_sampled)
+            .value();
+    size_t largest = 0;
+    for (size_t i = 0; i < pmn.component_count(); ++i) {
+      largest = std::max(largest, pmn.component(i).members.size());
+    }
+    ASSERT_GT(largest, 63u);
+    EXPECT_FALSE(pmn.chain_diagnostics().exact);
+    ASSERT_EQ(pmn.probabilities().size(), sampled.probabilities().size());
+    for (size_t c = 0; c < pmn.probabilities().size(); ++c) {
+      EXPECT_EQ(pmn.probabilities()[c], sampled.probabilities()[c]) << c;
+    }
+    EXPECT_EQ(pmn.Uncertainty(), sampled.Uncertainty());
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/exact_enumerator.h"
 #include "core/matching_instance.h"
+#include "tests/testing/exact_enumerator.h"
 #include "tests/testing/test_networks.h"
 
 namespace smn {

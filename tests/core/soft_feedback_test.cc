@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,11 +128,20 @@ std::vector<DynamicBitset> MakeSamples(
   return samples;
 }
 
+/// Importance weights under the evidence on every correspondence, with the
+/// samples in global coordinates (correspondence c is bit c).
+std::vector<double> AllEvidenceWeights(
+    const SoftEvidence& evidence, const std::vector<DynamicBitset>& samples) {
+  std::vector<CorrespondenceId> ids(evidence.correspondence_count());
+  std::iota(ids.begin(), ids.end(), CorrespondenceId{0});
+  return ComputeImportanceWeights(evidence, samples, ids, ids);
+}
+
 TEST(ImportanceWeightsTest, NoEvidenceGivesUniformWeights) {
   SoftEvidence evidence(3);
   const auto samples = MakeSamples(3, {{0}, {1}, {0, 2}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples);
+      AllEvidenceWeights(evidence, samples);
   ASSERT_EQ(weights.size(), 3u);
   for (double w : weights) EXPECT_DOUBLE_EQ(w, 1.0);
 }
@@ -141,7 +151,7 @@ TEST(ImportanceWeightsTest, WeightsAreMaxShiftedLikelihoods) {
   ASSERT_TRUE(evidence.Record(0, true, 0.2).ok());
   const auto samples = MakeSamples(3, {{0}, {1}, {0, 2}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples);
+      AllEvidenceWeights(evidence, samples);
   ASSERT_EQ(weights.size(), 3u);
   // Samples containing c0 have likelihood 0.8, the other 0.2; max-shift
   // normalizes the former to exactly 1.
@@ -155,34 +165,50 @@ TEST(ImportanceWeightsTest, HardEvidenceZeroesInconsistentSamples) {
   ASSERT_TRUE(evidence.Record(0, true, 0.0).ok());
   const auto samples = MakeSamples(3, {{0}, {1}, {0, 2}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples);
+      AllEvidenceWeights(evidence, samples);
   ASSERT_EQ(weights.size(), 3u);
   EXPECT_DOUBLE_EQ(weights[0], 1.0);
   EXPECT_DOUBLE_EQ(weights[1], 0.0);  // Violates the hard approval.
   EXPECT_DOUBLE_EQ(weights[2], 1.0);
 }
 
-TEST(ImportanceWeightsTest, RestrictionMaskFiltersEvidence) {
+TEST(ImportanceWeightsTest, MembersRestrictTheEvidence) {
   SoftEvidence evidence(3);
   ASSERT_TRUE(evidence.Record(0, true, 0.0).ok());
   ASSERT_TRUE(evidence.Record(1, true, 0.0).ok());
-  DynamicBitset mask(3);
-  mask.Set(1);  // Only evidence on c1 participates.
+  const std::vector<CorrespondenceId> members = {1};  // Only c1 counts.
   const auto samples = MakeSamples(3, {{0}, {1}, {0, 2}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples, &mask);
+      ComputeImportanceWeights(evidence, samples, members, members);
   ASSERT_EQ(weights.size(), 3u);
   EXPECT_DOUBLE_EQ(weights[0], 0.0);
   EXPECT_DOUBLE_EQ(weights[1], 1.0);
   EXPECT_DOUBLE_EQ(weights[2], 0.0);
 }
 
+TEST(ImportanceWeightsTest, MemberBitsReadSamplesInLocalCoordinates) {
+  // A component's samples are narrower than the network: member c4 is
+  // local bit 1, member c2 local bit 0. Evidence is looked up by global id.
+  SoftEvidence evidence(5);
+  ASSERT_TRUE(evidence.Record(4, true, 0.2).ok());
+  ASSERT_TRUE(evidence.Record(3, true, 0.0).ok());  // Not a member.
+  const std::vector<CorrespondenceId> members = {2, 4};
+  const std::vector<CorrespondenceId> bits = {0, 1};
+  const auto samples = MakeSamples(2, {{1}, {0}, {}});
+  const std::vector<double> weights =
+      ComputeImportanceWeights(evidence, samples, members, bits);
+  ASSERT_EQ(weights.size(), 3u);
+  EXPECT_DOUBLE_EQ(weights[0], 1.0);
+  EXPECT_NEAR(weights[1], 0.25, 1e-12);
+  EXPECT_NEAR(weights[2], 0.25, 1e-12);
+}
+
 TEST(ImportanceWeightsTest, AllZeroLikelihoodReturnsEmpty) {
   SoftEvidence evidence(3);
   ASSERT_TRUE(evidence.Record(2, true, 0.0).ok());  // No sample contains c2...
   const auto samples = MakeSamples(3, {{0}, {1}});
-  EXPECT_TRUE(ComputeImportanceWeights(evidence, samples).empty());
-  EXPECT_TRUE(ComputeImportanceWeights(evidence, {}).empty());
+  EXPECT_TRUE(AllEvidenceWeights(evidence, samples).empty());
+  EXPECT_TRUE(AllEvidenceWeights(evidence, {}).empty());
 }
 
 TEST(ImportanceWeightsTest, ContradictoryEvidenceIsSkipped) {
@@ -191,7 +217,7 @@ TEST(ImportanceWeightsTest, ContradictoryEvidenceIsSkipped) {
   ASSERT_TRUE(evidence.Record(0, false, 0.0).ok());
   const auto samples = MakeSamples(2, {{0}, {1}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples);
+      AllEvidenceWeights(evidence, samples);
   ASSERT_EQ(weights.size(), 2u);  // Not empty: contradiction excluded.
   EXPECT_DOUBLE_EQ(weights[0], 1.0);
   EXPECT_DOUBLE_EQ(weights[1], 1.0);
@@ -232,7 +258,7 @@ TEST(ImportanceWeightsTest, NonFiniteLogWeightsDoNotPoisonTheShift) {
   ASSERT_TRUE(evidence.Record(0, true, 0.0).ok());   // log_out = -inf.
   const auto samples = MakeSamples(2, {{0}, {1}});
   const std::vector<double> weights =
-      ComputeImportanceWeights(evidence, samples);
+      AllEvidenceWeights(evidence, samples);
   ASSERT_EQ(weights.size(), 2u);
   for (double w : weights) EXPECT_TRUE(std::isfinite(w));
   EXPECT_DOUBLE_EQ(weights[0], 1.0);

@@ -10,10 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "core/chain_diagnostics.h"
-#include "core/exact_enumerator.h"
 #include "core/parallel_sampler.h"
-#include "core/sample_store.h"
+#include "core/probabilistic_network.h"
 #include "sim/metrics.h"
+#include "tests/testing/exact_enumerator.h"
 #include "tests/testing/test_networks.h"
 
 namespace smn {
@@ -146,53 +146,59 @@ TEST(ConvergenceTest, DiagnosticFlagsZeroStepSampler) {
   EXPECT_FALSE(diag.Converged());
 }
 
-TEST(ConvergenceTest, SampleStoreSurfacesChainDiagnostics) {
-  // Sampling path: a network too large for exact enumeration.
+TEST(ConvergenceTest, EngineSurfacesChainDiagnostics) {
+  // Sampling path (exact_threshold = 0): every component runs the
+  // multi-chain sampler, and the merged diagnostic reaches the caller.
   const testing::RandomNetwork random =
       testing::MakeRandomNetwork({4, 4, 0.5, 77});
-  Feedback feedback(random.network.correspondence_count());
-  SampleStoreOptions options;
-  options.target_samples = 1000;
-  options.min_samples = 50;
-  SampleStore store(random.network, random.constraints, options);
+  ProbabilisticNetworkOptions options;
+  options.store.target_samples = 1000;
+  options.store.min_samples = 50;
+  options.store.exact_threshold = 0;
   Rng rng(23);
-  ASSERT_TRUE(store.Initialize(feedback, &rng).ok());
-  ASSERT_FALSE(store.exhausted());
-  const ChainDiagnostics& diag = store.chain_diagnostics();
+  const ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(random.network, random.constraints,
+                                   options, &rng)
+          .value();
+  ASSERT_FALSE(pmn.exhausted());
+  const ChainDiagnostics& diag = pmn.chain_diagnostics();
+  EXPECT_FALSE(diag.exact);
   EXPECT_EQ(diag.usable_chains, 4u);
   EXPECT_TRUE(std::isfinite(diag.max_psrf));
   EXPECT_TRUE(diag.Converged(1.5));
 }
 
-TEST(ConvergenceTest, ExactStoreReportsConvergedDiagnostics) {
+TEST(ConvergenceTest, ExactEngineReportsConvergedDiagnostics) {
   const testing::Fig1Network fig1 = testing::MakeFig1Network();
-  Feedback feedback(fig1.network.correspondence_count());
-  SampleStore store(fig1.network, fig1.constraints, {});
   Rng rng(29);
-  ASSERT_TRUE(store.Initialize(feedback, &rng).ok());
-  ASSERT_TRUE(store.exhausted());
-  EXPECT_EQ(store.chain_diagnostics().usable_chains, 0u);
-  EXPECT_TRUE(store.chain_diagnostics().exact);
-  EXPECT_TRUE(store.chain_diagnostics().applicable());
-  EXPECT_TRUE(store.chain_diagnostics().Converged());
+  const ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(fig1.network, fig1.constraints, {}, &rng)
+          .value();
+  ASSERT_TRUE(pmn.exhausted());
+  EXPECT_EQ(pmn.chain_diagnostics().usable_chains, 0u);
+  EXPECT_TRUE(pmn.chain_diagnostics().exact);
+  EXPECT_TRUE(pmn.chain_diagnostics().applicable());
+  EXPECT_TRUE(pmn.chain_diagnostics().Converged());
 }
 
-TEST(ConvergenceTest, BrokenSamplerSurfacesThroughSampleStore) {
-  // End to end: a store forced onto the sampling path with a frozen walk
+TEST(ConvergenceTest, FrozenWalkSurfacesThroughTheEngine) {
+  // End to end: an engine forced onto the sampling path with a frozen walk
   // must advertise the divergence through chain_diagnostics().
   const testing::Fig1Network fig1 = testing::MakeFig1Network();
-  Feedback feedback(fig1.network.correspondence_count());
-  SampleStoreOptions options;
-  options.target_samples = 200;
-  options.min_samples = 20;
-  options.exact_threshold = 0;  // Force sampling even on this tiny network.
-  options.sampling.num_chains = 6;
-  options.sampling.sampler.walk_steps = 0;
-  options.sampling.sampler.maximalize = false;
-  SampleStore store(fig1.network, fig1.constraints, options);
+  ProbabilisticNetworkOptions options;
+  options.store.target_samples = 200;
+  options.store.min_samples = 20;
+  options.store.exact_threshold = 0;  // Force sampling on this tiny network.
+  options.store.sampling.num_chains = 6;
+  options.store.sampling.sampler.walk_steps = 0;
+  options.store.sampling.sampler.maximalize = false;
   Rng rng(31);
-  ASSERT_TRUE(store.Initialize(feedback, &rng).ok());
-  EXPECT_FALSE(store.chain_diagnostics().Converged());
+  const ProbabilisticNetwork pmn =
+      ProbabilisticNetwork::Create(fig1.network, fig1.constraints, options,
+                                   &rng)
+          .value();
+  EXPECT_FALSE(pmn.chain_diagnostics().exact);
+  EXPECT_FALSE(pmn.chain_diagnostics().Converged());
 }
 
 }  // namespace

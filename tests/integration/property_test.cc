@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/exact_enumerator.h"
 #include "core/instantiation.h"
 #include "core/matching_instance.h"
 #include "core/probabilistic_network.h"
 #include "core/reconciler.h"
 #include "core/repair.h"
+#include "tests/testing/exact_enumerator.h"
 #include "tests/testing/test_networks.h"
 
 namespace smn {

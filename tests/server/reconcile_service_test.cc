@@ -206,6 +206,31 @@ TEST(ReconcileServiceTest, CloseDecrementsLiveSessions) {
   EXPECT_EQ(service.Assert(id, 0, true).code(), StatusCode::kNotFound);
 }
 
+TEST(ReconcileServiceTest, EmptyNetworkServesATrivialSession) {
+  // Zero candidate correspondences: the session opens over an empty
+  // partition, reports no uncertainty, and rejects every correspondence id.
+  NetworkBuilder builder;
+  builder.AddSchema("A");
+  builder.AddSchema("B");
+  builder.AddCompleteGraph();
+  auto network = std::make_unique<Network>(builder.Build().value());
+  auto constraints = std::make_unique<ConstraintSet>(
+      testing::MakeStandardConstraints(*network));
+  ReconcileService service;
+  const TenantId tenant =
+      service.RegisterTenant("empty", std::move(network), std::move(constraints))
+          .value();
+  const SessionId id = service.OpenSession(tenant, 1).value();
+  const SessionSnapshot snapshot = service.Snapshot(id).value();
+  EXPECT_TRUE(snapshot.probabilities.empty());
+  EXPECT_EQ(snapshot.uncertainty, 0.0);
+  EXPECT_TRUE(snapshot.exhausted);
+  EXPECT_EQ(snapshot.revision, 0u);
+  EXPECT_EQ(service.Assert(id, 0, true).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(service.Snapshot(id).value().revision, 0u);
+  EXPECT_TRUE(service.Close(id).ok());
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace smn

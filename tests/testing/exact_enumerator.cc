@@ -1,4 +1,4 @@
-#include "core/exact_enumerator.h"
+#include "tests/testing/exact_enumerator.h"
 
 #include "core/matching_instance.h"
 

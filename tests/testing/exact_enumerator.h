@@ -1,5 +1,5 @@
-#ifndef SMN_CORE_EXACT_ENUMERATOR_H_
-#define SMN_CORE_EXACT_ENUMERATOR_H_
+#ifndef SMN_TESTS_TESTING_EXACT_ENUMERATOR_H_
+#define SMN_TESTS_TESTING_EXACT_ENUMERATOR_H_
 
 #include <vector>
 
@@ -20,10 +20,12 @@ struct ExactEnumerationResult {
   std::vector<double> probabilities;
 };
 
-/// Enumerates all matching instances of a network by checking every subset
-/// of C — the Ω(F+, F-) of Equation 1. Exponential in |C| by construction
-/// (the paper uses it only to evaluate sampling quality, Fig. 7); refuses
-/// networks beyond `max_candidates` correspondences.
+/// Test oracle: enumerates all matching instances of a network by checking
+/// every subset of C — the Ω(F+, F-) of Equation 1 — straight from
+/// Definition 1, with no component decomposition. Exponential in |C| by
+/// construction; refuses networks beyond `max_candidates` correspondences.
+/// The engine's own exact path (ProbabilisticNetwork's member-exact
+/// enumeration) is checked against it.
 class ExactEnumerator {
  public:
   /// `network` and `constraints` must outlive the enumerator.
@@ -44,4 +46,4 @@ class ExactEnumerator {
 
 }  // namespace smn
 
-#endif  // SMN_CORE_EXACT_ENUMERATOR_H_
+#endif  // SMN_TESTS_TESTING_EXACT_ENUMERATOR_H_
